@@ -396,23 +396,7 @@ _COMMANDS = {
 }
 
 
-def _setup_threads():
-    raw = os.environ.get("LOCPV_THREADS", "0")
-    try:
-        n = int(raw)
-    except ValueError:
-        return
-    if n > 0:
-        try:
-            import numba
-
-            numba.set_num_threads(min(n, numba.config.NUMBA_NUM_THREADS))
-        except ImportError:
-            pass
-
-
 def run_command(cfg: RunConfig) -> int:
-    _setup_threads()
     return _COMMANDS[cfg.command](cfg.args)
 
 

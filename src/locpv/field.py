@@ -378,10 +378,6 @@ def _central_offsets(m, acc):
     return np.arange(-half, half + 1)
 
 
-def stencil_half_width(m, acc):
-    return (m + 1) // 2 + acc // 2 - 1
-
-
 def _diff_axis(values, h, m, axis, acc, one_sided):
     """m-th derivative along axis, central interior, one-sided near edges."""
     if m == 0:
@@ -470,7 +466,7 @@ class SampledField:
     def _check_margin(self, x, t, order):
         if self.one_sided:
             return
-        half = stencil_half_width(order, self.acc)
+        half = _central_offsets(order, self.acc)[-1]
         g = self.grid
         if (
             x - g.x0 < half * g.dx

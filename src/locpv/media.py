@@ -10,6 +10,7 @@ computed and reported, never silently reconciled.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -80,10 +81,9 @@ class ConstantIndex(MediumProfile):
         self.n0 = float(n0)
 
     def series(self, x, m):
-        zero = np.zeros(np.shape(x))
-        return [np.broadcast_to(self.n0, np.shape(x)).astype(float) if np.shape(x) else self.n0] + [
-            zero if np.shape(x) else 0.0
-        ] * m
+        # [()] turns the 0-d arrays of a scalar x into numpy scalars
+        shape = np.shape(x)
+        return [np.full(shape, self.n0)[()]] + [np.zeros(shape)[()]] * m
 
 
 class LinearIndex(MediumProfile):
@@ -95,12 +95,9 @@ class LinearIndex(MediumProfile):
         self.slope = float(slope)
 
     def series(self, x, m):
-        zero = np.zeros(np.shape(x)) if np.shape(x) else 0.0
-        out = [self.n0 + self.slope * np.asarray(x, float) if np.shape(x) else self.n0 + self.slope * x]
-        if m >= 1:
-            out.append(np.broadcast_to(self.slope, np.shape(x)).astype(float) if np.shape(x) else self.slope)
-        out.extend([zero] * max(0, m - 1))
-        return out
+        shape = np.shape(x)
+        out = [self.n0 + self.slope * np.asarray(x, float), np.full(shape, self.slope)[()]]
+        return out[: m + 1] + [np.zeros(shape)[()]] * max(0, m - 1)
 
 
 class TanhRampIndex(MediumProfile):
@@ -142,15 +139,8 @@ class TabulatedIndex(MediumProfile):
     def series(self, x, m):
         out = [self._interp(x)]
         for k in range(1, m + 1):
-            out.append(self._interp.derivative(k)(x) / _fact(k))
+            out.append(self._interp.derivative(k)(x) / math.factorial(k))
         return out
-
-
-def _fact(k):
-    out = 1
-    for i in range(2, k + 1):
-        out *= i
-    return out
 
 
 @dataclass(frozen=True)

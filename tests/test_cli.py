@@ -1,12 +1,15 @@
 """Command-line surface: grammars, exit codes, artifacts, determinism."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import locpv
 from locpv.cli import UsageError, main, parse_analytic, parse_grid, parse_medium
 from locpv.field import DampedTranslational, Harmonic, load_grid_csv
 
@@ -84,9 +87,13 @@ class TestExitCodes:
         assert capsys.readouterr().err.splitlines()[0] == "error: NoBracket"
 
     def test_unknown_flag_exits_2(self):
+        # the child imports the same locpv as this process, installed or not
+        src = str(Path(locpv.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         proc = subprocess.run(
             [sys.executable, "-m", "locpv.cli", "pv", "--frobnicate"],
             capture_output=True,
+            env={**os.environ, "PYTHONPATH": path},
         )
         assert proc.returncode == 2
 
