@@ -15,11 +15,11 @@ class LocpvError(Exception):
 
 
 class OutOfDomain(LocpvError):
-    """Query point lies outside a sampled field's grid."""
+    """Query point lies outside a sampled field's grid or a needed derivative's domain."""
 
 
-class StencilClipped(LocpvError):
-    """Point too close to a sampled boundary and one-sided fallback disabled."""
+class StencilClipped(OutOfDomain):
+    """Point in a sampled grid but beyond the reach of a central stencil it needs."""
 
 
 class OrderTooHigh(LocpvError):

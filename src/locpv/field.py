@@ -50,6 +50,9 @@ __all__ = [
 
 ANALYTIC_NMAX = 4   # highest PV order for closed-form fields
 SAMPLED_NMAX = 2    # FD noise makes mixed partials beyond 3rd order unreliable
+# CSV values keep 15 significant digits, which round-trip through a double
+# except this close to the largest one: they would round past it, to inf
+_G15_MAX = 1.79769313486231e308
 
 
 # ---------------------------------------------------------------------------
@@ -91,7 +94,8 @@ class Grid1x1:
         return self.t0 + self.dt * (self.nt - 1)
 
     def contains(self, x, t):
-        return (self.x0 <= x <= self.x_max) and (self.t0 <= t <= self.t_max)
+        """Whether (x, t) lies in the closed grid rectangle; broadcasts."""
+        return (self.x0 <= x) & (x <= self.x_max) & (self.t0 <= t) & (t <= self.t_max)
 
 
 @dataclass(frozen=True)
@@ -393,15 +397,13 @@ def _diff_axis(values, h, m, axis, acc, one_sided):
     wc = fd_weights(0.0, offs, m) / h ** m
     core = sum(w * v[half + o : n - half + o] for w, o in zip(wc, offs))
     out[half : n - half] = core
-    # one-sided edges (order-acc accurate)
-    for i in range(half):
+    # edges: one-sided stencils (order-acc accurate), or nan without them
+    out[:half] = out[n - half :] = np.nan
+    for i in range(half if one_sided else 0):
         wf = fd_weights(float(i), np.arange(width), m) / h ** m
         out[i] = np.tensordot(wf, v[:width], axes=(0, 0))
         wb = fd_weights(float(n - 1 - i), np.arange(n - width, n), m) / h ** m
         out[n - 1 - i] = np.tensordot(wb, v[n - width :], axes=(0, 0))
-    if not one_sided:
-        out[:half] = np.nan
-        out[n - half :] = np.nan
     return np.moveaxis(out, 0, axis)
 
 
@@ -445,53 +447,65 @@ class SampledField:
             self._deriv_grids[key] = g
         return self._deriv_grids[key]
 
+    def _support(self, p, q):
+        """Rows and columns where the (p, q) FD grid is finite: the whole grid
+        when one_sided, otherwise the grid trimmed by the central half-width on
+        each differentiated axis."""
+        ht, hx = (
+            _central_offsets(m, self.acc)[-1] if m and not self.one_sided else 0
+            for m in (p, q)
+        )
+        return slice(ht, self.grid.nt - ht), slice(hx, self.grid.nx - hx)
+
     def _spline(self, p, q):
+        """Bicubic spline of the (p, q) FD grid fitted on its support only, and
+        the support's node box (t_lo, t_hi, x_lo, x_hi)."""
         key = (p, q)
         if key not in self._splines:
             g = self.derivative_grid(p, q)
-            g = np.nan_to_num(g) if not self.one_sided else g
-            kx = min(3, self.grid.nt - 1)
-            ky = min(3, self.grid.nx - 1)
-            self._splines[key] = RectBivariateSpline(
-                self.grid.ts, self.grid.xs, g, kx=kx, ky=ky
-            )
+            rows, cols = self._support(p, q)
+            ts, xs = self.grid.ts[rows], self.grid.xs[cols]
+            if min(ts.size, xs.size) < 2:
+                raise StencilClipped(f"the ({p}, {q}) stencils leave under 2 nodes on an axis")
+            kx, ky = min(3, ts.size - 1), min(3, xs.size - 1)
+            box = tuple(map(float, (ts[0], ts[-1], xs[0], xs[-1])))
+            self._splines[key] = RectBivariateSpline(ts, xs, g[rows, cols], kx=kx, ky=ky), box
         return self._splines[key]
+
+    def _in_support(self, p, q, x, t):
+        """Whether (x, t) lies in the node box of the (p, q) support; broadcasts."""
+        t_lo, t_hi, x_lo, x_hi = self._spline(p, q)[1]
+        return (t_lo <= t) & (t <= t_hi) & (x_lo <= x) & (x <= x_hi)
+
+    def derivatives_on(self, grid: Grid1x1, p, q):
+        """d^{p+q} psi / dt^p dx^q on grid: ``derivative_grid`` on the sampling
+        grid, elsewhere its spline with nan outside the support (no extrapolation)."""
+        if grid == self.grid:
+            return self.derivative_grid(p, q)
+        values = self._spline(p, q)[0](grid.ts, grid.xs)
+        return np.where(self._in_support(p, q, grid.xs, grid.ts[:, None]), values, np.nan)
 
     # -- queries -------------------------------------------------------------
 
-    def _check_domain(self, x, t):
-        if not self.grid.contains(x, t):
-            raise OutOfDomain(f"point ({x}, {t}) outside sampled grid")
-
-    def _check_margin(self, x, t, order):
-        if self.one_sided:
-            return
-        half = _central_offsets(order, self.acc)[-1]
-        g = self.grid
-        if (
-            x - g.x0 < half * g.dx
-            or g.x_max - x < half * g.dx
-            or t - g.t0 < half * g.dt
-            or g.t_max - t < half * g.dt
-        ):
-            raise StencilClipped(
-                f"point ({x}, {t}) within stencil half-width of the boundary"
-            )
+    def _at(self, x, t, p, q):
+        """Spline value of the (p, q) derivative at one point of its support."""
+        if not self._in_support(p, q, x, t):
+            err = StencilClipped if self.grid.contains(x, t) else OutOfDomain
+            raise err(f"point ({x}, {t}) outside the domain of the ({p}, {q}) derivative")
+        return self._spline(p, q)[0](t, x)[0, 0]
 
     def eval(self, x, t):
-        self._check_domain(x, t)
-        return float(self._spline(0, 0)(t, x)[0, 0])
+        return float(self._at(float(x), float(t), 0, 0))
 
     def jet(self, x, t, order) -> Jet:
         if order > self.nmax + 1:
             raise OrderTooHigh(f"sampled fields support jets up to order {self.nmax + 1}")
-        self._check_domain(x, t)
-        self._check_margin(x, t, order)
+        x, t = float(x), float(t)
         table = np.zeros((order + 1, order + 1))
         for p in range(order + 1):
             for q in range(order + 1 - p):
-                table[p, q] = self._spline(p, q)(t, x)[0, 0]
-        return Jet(float(x), float(t), order, table)
+                table[p, q] = self._at(x, t, p, q)
+        return Jet(x, t, order, table)
 
 
 def sample(field: AnalyticField, grid: Grid1x1, **kwargs) -> SampledField:
@@ -514,7 +528,8 @@ def save_grid_csv(path, grid: Grid1x1, values, field_name="psi"):
     buf.write(f"# field={field_name}\n")
     buf.write("# layout=row-per-time\n")
     for row in values:
-        buf.write(",".join(f"{v:.15g}" for v in row))
+        wide = np.any(np.isfinite(row) & (np.abs(row) >= _G15_MAX))
+        buf.write(",".join(map(("{:.17g}" if wide else "{:.15g}").format, row.tolist())))
         buf.write("\n")
     with open(path, "w") as fh:
         fh.write(buf.getvalue())

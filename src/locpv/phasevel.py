@@ -14,7 +14,6 @@ import numpy as np
 
 from .errors import NotOscillatory, OrderTooHigh
 from .field import (
-    AnalyticField,
     Grid1x1,
     Harmonic,
     SampledField,
@@ -26,6 +25,7 @@ from .field import (
 __all__ = [
     "PhaseVelocityField",
     "ClassicalDiagnostics",
+    "pole_eps",
     "pv_point",
     "pv_from_jet",
     "pv_field",
@@ -63,7 +63,8 @@ class ClassicalDiagnostics:
     omega_over_k: float | None
 
 
-def _point_eps(num, den):
+def pole_eps(num, den):
+    """Pole threshold for one ratio num/den: |den| below it counts as a pole."""
     return max(EPS_DEN_FLOOR, 1e-12 * max(abs(num), abs(den)))
 
 
@@ -71,7 +72,7 @@ def pv_from_jet(jet, order, eps_den=None):
     """Phase velocity of the given order from a precomputed jet, or None."""
     num = jet.deriv(1, order)
     den = jet.deriv(0, order + 1)
-    eps = _point_eps(num, den) if eps_den is None else eps_den
+    eps = pole_eps(num, den) if eps_den is None else eps_den
     if abs(den) < eps:
         return None
     return -num / den
@@ -90,22 +91,7 @@ def pv_point(field, x, t, order, eps_den=None):
 def _deriv_arrays(field, grid, order):
     """(num, den) arrays of the two mixed partials over the grid."""
     if isinstance(field, SampledField):
-        g = field.grid
-        same = (
-            abs(g.x0 - grid.x0) < 1e-12
-            and abs(g.t0 - grid.t0) < 1e-12
-            and abs(g.dx - grid.dx) < 1e-15
-            and abs(g.dt - grid.dt) < 1e-15
-            and g.nx == grid.nx
-            and g.nt == grid.nt
-        )
-        if same:
-            num = field.derivative_grid(1, order)
-            den = field.derivative_grid(0, order + 1)
-        else:
-            num = field._spline(1, order)(grid.ts, grid.xs)
-            den = field._spline(0, order + 1)(grid.ts, grid.xs)
-        return num, den
+        return field.derivatives_on(grid, 1, order), field.derivatives_on(grid, 0, order + 1)
     tt, xx = np.meshgrid(grid.ts, grid.xs, indexing="ij")
     table = field.jet_batch(xx, tt, order + 1)
     return table[1, order], table[0, order + 1]
@@ -136,7 +122,7 @@ def damped_spectrum(a, lam, envelope, phi, order):
     """v_N = a*(1 - lam * env^(N)(phi) / env^(N+1)(phi)); None at a pole."""
     d = envelope_derivs(envelope, phi, order + 1)
     num, den = d[order], d[order + 1]
-    if abs(den) < _point_eps(num, den):
+    if abs(den) < pole_eps(num, den):
         return None
     return a * (1.0 - lam * num / den)
 
@@ -144,15 +130,10 @@ def damped_spectrum(a, lam, envelope, phi, order):
 def kink_spectrum(a, lam, phi):
     """(v0, vI, vII) for the damped arctan kink; None entries at the poles."""
     v0 = a * (1.0 + lam * (1.0 + phi * phi) * np.arctan(phi))
-    if abs(phi) < 1e-15:
-        vI = None
-    else:
-        vI = a * (1.0 - lam * (1.0 + phi * phi) / (2.0 * phi))
-    den = 3.0 * phi * phi - 1.0
-    if abs(den) < 1e-14 * (1.0 + 3.0 * phi * phi):
-        vII = None
-    else:
-        vII = a * (1.0 - lam * (phi ** 3 + phi) / den)
+    num, den = lam * (1.0 + phi * phi), 2.0 * phi
+    vI = None if abs(den) < pole_eps(num, den) else a * (1.0 - num / den)
+    num, den = lam * (phi ** 3 + phi), 3.0 * phi * phi - 1.0
+    vII = None if abs(den) < pole_eps(num, den) else a * (1.0 - num / den)
     return float(v0), vI, vII
 
 
@@ -180,12 +161,14 @@ def classical_diagnostics(field, grid: Grid1x1) -> ClassicalDiagnostics:
     derivatives exist and the spatial one is not degenerate.
     """
     if isinstance(field, SampledField):
-        values = field._spline(0, 0)(grid.ts, grid.xs)
+        values = field.derivatives_on(grid, 0, 0)
     else:
         values = sample(field, grid).values
     xs = grid.xs
     lam = np.full((grid.nt, grid.nx), np.nan)
     for j in range(grid.nt):
+        if np.isnan(values[j]).all():
+            continue  # no node of this slice lies inside the samples
         z = _zero_crossings(xs, values[j])
         if z.size < 3:
             raise NotOscillatory(

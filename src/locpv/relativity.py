@@ -22,6 +22,7 @@ import numpy as np
 
 from .errors import DegenerateDenominator
 from .field import AnalyticField
+from .phasevel import pole_eps
 
 __all__ = [
     "BoostFrame",
@@ -121,7 +122,7 @@ def boost_vI_general(frame: BoostFrame, jet, eps_den=None):
     pxt = jet.deriv(1, 1)
     num = (1.0 + (V / c) ** 2) * pxt - V * (ptt / c ** 2 + pxx)
     den = (V ** 2 / c ** 4) * ptt + pxx - (2.0 * V / c ** 2) * pxt
-    eps = max(1e-300, 1e-12 * max(abs(num), abs(den))) if eps_den is None else eps_den
+    eps = pole_eps(num, den) if eps_den is None else eps_den
     if abs(den) < eps:
         return None
     return -num / den

@@ -11,7 +11,14 @@ import pytest
 
 import locpv
 from locpv.cli import UsageError, main, parse_analytic, parse_grid, parse_medium
-from locpv.field import DampedTranslational, Harmonic, load_grid_csv
+from locpv.field import (
+    DampedTranslational,
+    Grid1x1,
+    Harmonic,
+    load_grid_csv,
+    sample,
+    save_grid_csv,
+)
 
 
 def run_cli(argv):
@@ -169,6 +176,23 @@ class TestCommands:
         grid, vals, _ = load_grid_csv(out)
         assert (grid.nx, grid.nt) == (200, 100)
         assert np.all(vals[:, 0] == 0.0)  # reflecting ends pinned
+
+    def test_pv_on_overhanging_grid_writes_nan_outside(self, tmp_path):
+        field_csv = tmp_path / "field.csv"
+        g = Grid1x1(-2.0, 0.05, 81, 0.0, 0.05, 41)
+        save_grid_csv(field_csv, g, sample(Harmonic(3.0, 1.5), g).values)
+        out = tmp_path / "v0.csv"
+        code = run_cli(
+            ["pv", "--in", str(field_csv), "--order", "0",
+             "--grid=-2.5,0.07,80x-0.3,0.06,45", "--out", str(out)]
+        )
+        assert code == 0
+        q, vals, _ = load_grid_csv(out)
+        in_x = (q.xs >= g.x0) & (q.xs <= g.x_max)
+        in_t = (q.ts >= g.t0) & (q.ts <= g.t_max)
+        inside = in_t[:, None] & in_x[None, :]
+        assert not np.isfinite(vals[~inside]).any()
+        assert np.isfinite(vals[inside]).mean() > 0.9
 
     def test_track_on_csv_field(self, tmp_path):
         sim_out = tmp_path / "sim.csv"

@@ -26,6 +26,14 @@ class TestGrid:
         assert g.contains(-1.0, 4.0)
         assert not g.contains(1.1, 2.0)
 
+    def test_contains_broadcasts_with_closed_bounds(self):
+        g = Grid1x1(-1.0, 0.25, 9, 2.0, 0.5, 5)
+        x = np.array([-1.0 - 1e-12, -1.0, 0.0, 1.0, 1.0 + 1e-12])
+        inside = g.contains(x[None, :], np.array([2.0, 4.0, 4.5])[:, None])
+        assert inside.shape == (3, 5)
+        np.testing.assert_array_equal(inside[0], [False, True, True, True, False])
+        assert not inside[2].any()
+
     @pytest.mark.parametrize(
         "kw",
         [
@@ -131,6 +139,48 @@ class TestFiniteDifferences:
         # interior still fine
         clipped.jet(1.0, 1.0, 2)
 
+    def test_stencil_clipped_is_out_of_domain(self):
+        # a point beyond a needed stencil's reach lies outside that derivative's domain
+        assert issubclass(StencilClipped, OutOfDomain)
+        g = Grid1x1(0.0, 0.1, 21, 0.0, 0.1, 21)
+        clipped = sample(Translational(1.0), g, one_sided=False)
+        with pytest.raises(OutOfDomain):
+            clipped.jet(1.0, 0.05, 1)
+        # order 0 needs no stencil: the whole grid is its domain
+        assert clipped.eval(0.0, 0.0) == pytest.approx(clipped.values[0, 0], abs=1e-12)
+
+
+class TestDerivativesOn:
+    def test_own_grid_returns_the_fd_grid(self):
+        g = Grid1x1(-1.0, 0.1, 21, 0.0, 0.1, 11)
+        s = sample(DampedTranslational(1.0, 0.2), g, one_sided=False)
+        same = Grid1x1(-1.0, 0.1, 21, 0.0, 0.1, 11)  # equal to g, not the same object
+        assert s.derivatives_on(same, 1, 1) is s.derivative_grid(1, 1)
+
+    def test_single_node_support_cannot_be_interpolated(self):
+        g = Grid1x1(0.0, 0.1, 5, 0.0, 0.1, 5)
+        s = sample(Translational(1.0), g, one_sided=False)
+        # the 3rd x-derivative's central stencil reaches 2 nodes: only column 2 is finite
+        assert np.isfinite(s.derivatives_on(g, 0, 3)).sum(axis=0).tolist() == [0, 0, 5, 0, 0]
+        with pytest.raises(StencilClipped):
+            s.derivatives_on(Grid1x1(0.0, 0.05, 9, 0.0, 0.05, 9), 0, 3)
+        with pytest.raises(StencilClipped):
+            s.jet(0.2, 0.2, 3)
+
+    @pytest.mark.parametrize("one_sided", [True, False])
+    def test_nan_outside_the_support(self, one_sided):
+        g = Grid1x1(0.0, 0.1, 21, 0.0, 0.1, 21)
+        s = sample(Translational(1.0), g, one_sided=one_sided)
+        q = Grid1x1(-0.25, 0.05, 51, 0.02, 0.05, 41)  # overhangs both x edges and t_max
+        d = s.derivatives_on(q, 0, 2)
+        reach = 0.0 if one_sided else 0.1  # central half-width of the 2nd x-derivative
+        inside = (q.xs >= reach - 1e-12) & (q.xs <= 2.0 - reach + 1e-12)
+        inside = inside[None, :] & (q.ts <= 2.0 + 1e-12)[:, None]
+        assert np.all(np.isfinite(d[inside]))
+        assert np.all(np.isnan(d[~inside]))
+        exact = Translational(1.0).jet_batch(q.xs[None, 10:30], q.ts[:10, None], 2)[0, 2]
+        np.testing.assert_allclose(d[:10, 10:30], exact, atol=0.05)
+
 
 class TestCsv:
     def test_round_trip(self, tmp_path):
@@ -149,6 +199,28 @@ class TestCsv:
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
         save_grid_csv(p1, g, s.values)
         save_grid_csv(p2, g, s.values)
+        assert p1.read_bytes() == p2.read_bytes()
+
+    def test_body_is_fifteen_significant_digits(self, tmp_path):
+        rng = np.random.default_rng(5)
+        vals = rng.standard_normal((6, 7)) * 10.0 ** rng.integers(-300, 300, (6, 7))
+        vals[0, :4] = [np.nan, np.inf, -0.0, 5e-324]
+        g = Grid1x1(0.0, 0.1, 7, 0.0, 0.1, 6)
+        path = tmp_path / "f.csv"
+        save_grid_csv(path, g, vals)
+        body = path.read_text().splitlines()[4:]
+        assert body == [",".join(f"{v:.15g}" for v in row) for row in vals]
+
+    def test_round_trip_at_the_float_extremes(self, tmp_path):
+        # 15 digits of the largest doubles would round past them and read back as inf
+        big = np.finfo(float).max
+        vals = np.array([[big, -big, np.nextafter(big, 0)], [np.nan, np.inf, 5e-324]])
+        g = Grid1x1(0.0, 0.1, 3, 0.0, 0.1, 2)
+        p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
+        save_grid_csv(p1, g, vals)
+        _, loaded, _ = load_grid_csv(p1)
+        np.testing.assert_array_equal(loaded, vals)
+        save_grid_csv(p2, g, loaded)
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_header_format(self, tmp_path):

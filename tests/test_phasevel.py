@@ -17,6 +17,7 @@ from locpv.phasevel import (
     classical_diagnostics,
     damped_spectrum,
     kink_spectrum,
+    pole_eps,
     pv_field,
     pv_point,
 )
@@ -98,6 +99,38 @@ class TestPvField:
         assert np.all(np.abs(den[~pvf.mask]) < pvf.eps_den)
         assert np.all(np.isfinite(pvf.values[pvf.mask]))
 
+    def test_sampled_overhanging_grid_masks_outside(self):
+        g = Grid1x1(-2.0, 0.05, 81, 0.0, 0.05, 41)
+        s = sample(DampedTranslational(1.0, 0.1), g)
+        q = Grid1x1(-2.6, 0.07, 75, -0.4, 0.06, 45)  # past both x edges and both t edges
+        in_x = (q.xs >= g.x0) & (q.xs <= g.x_max)
+        in_t = (q.ts >= g.t0) & (q.ts <= g.t_max)
+        inside = in_t[:, None] & in_x[None, :]
+        assert inside.any() and not inside.all()
+        for order in range(3):
+            pvf = pv_field(s, q, order)
+            assert not np.any(pvf.mask & ~inside)
+            for j, i in zip(*np.nonzero(pvf.mask)):
+                v = pv_point(s, q.xs[i], q.ts[j], order)
+                if v is not None:
+                    assert v == pytest.approx(pvf.values[j, i], rel=1e-12, abs=1e-12)
+
+    def test_clipped_field_interpolates_only_its_support(self):
+        # one_sided=False leaves the FD grids nan within a stencil half-width
+        # of the edges; an off-node interior sweep must not interpolate there
+        g = Grid1x1(-1.0, 0.05, 41, -0.5, 0.05, 21)
+        q = Grid1x1(-0.99, 0.025, 80, -0.49, 0.025, 40)
+        fld = Translational(1.0)
+        clipped = pv_field(sample(fld, g, one_sided=False), q, 1)
+        full = pv_field(sample(fld, g), q, 1)
+        # order 1 needs d2/dt dx and d2/dx2: half-width one node on each axis
+        reach_x = (q.xs >= -0.95 - 1e-12) & (q.xs <= 0.95 + 1e-12)
+        reach_t = (q.ts >= -0.45 - 1e-12) & (q.ts <= 0.45 + 1e-12)
+        assert not np.any(clipped.mask & ~(reach_t[:, None] & reach_x[None, :]))
+        err_clipped = np.abs(clipped.values[clipped.mask] - 1.0).max()
+        err_full = np.abs(full.values[full.mask] - 1.0).max()
+        assert err_clipped <= err_full
+
     def test_amplified_pulse_backward_propagation(self):
         # gain (lam < 0) makes v0 on the leading ascending flank negative
         g = Grid1x1(-0.9, 0.01, 80, 0.0, 0.01, 5)
@@ -123,6 +156,15 @@ class TestSpectra:
         assert vII == pytest.approx(0.8)
         for v in kink_spectrum(1.0, 0.0, 0.7):
             assert v == pytest.approx(1.0)
+
+    def test_kink_poles_use_pole_eps(self):
+        pole = 1.0 / np.sqrt(3.0)
+        assert kink_spectrum(1.0, 0.2, pole)[2] is None
+        assert kink_spectrum(1.0, 0.2, 1e-14)[1] is None  # |2 phi| < 1e-12 * 0.2
+        assert kink_spectrum(1.0, 0.2, 1e-12)[1] is not None
+        assert kink_spectrum(1.0, 0.2, pole + 1e-9)[2] is not None
+        assert pole_eps(0.0, 0.0) == 1e-300
+        assert pole_eps(-3.0, 2.0) == pytest.approx(3e-12)
 
     def test_pv_point_agrees_with_damped_spectrum(self):
         rng = np.random.default_rng(42)
@@ -175,6 +217,24 @@ class TestClassicalDiagnostics:
         g = Grid1x1(-2.0, 0.05, 81, 0.0, 0.05, 5)
         with pytest.raises(NotOscillatory):
             classical_diagnostics(KinkDamped(1.0, 0.2), g)
+
+    def test_sampled_slices_outside_the_samples_stay_nan(self):
+        g = Grid1x1(-6.0, 0.05, 241, 0.0, 0.05, 41)
+        s = sample(Harmonic(3.0, 1.5), g)
+        q = Grid1x1(-6.0, 0.05, 241, -0.5, 0.05, 61)  # overhangs t by 0.5 on each side
+        lam = classical_diagnostics(s, q).local_wavelength
+        inside_t = (q.ts >= 0.0) & (q.ts <= 2.0 + 1e-12)
+        assert not np.isfinite(lam[~inside_t]).any()
+        good = np.isfinite(lam[inside_t])
+        assert good.mean() > 0.5
+        assert np.max(np.abs(lam[inside_t][good] - 2 * np.pi / 1.5)) < 1e-4
+
+    def test_sampled_own_grid_reads_the_samples(self):
+        g = Grid1x1(-6.0, 0.05, 241, 0.0, 0.05, 41)
+        s = sample(Harmonic(3.0, 1.5), g)
+        lam_s = classical_diagnostics(s, g).local_wavelength
+        lam_a = classical_diagnostics(Harmonic(3.0, 1.5), g).local_wavelength
+        np.testing.assert_array_equal(lam_s, lam_a)
 
     def test_chirped_transport_velocity_approximates_pv(self):
         # slowly chirped translational wave: U should approximate v0 = 1

@@ -1,0 +1,129 @@
+"""Property tests: the sampled domain, the point-query domain, CSV round trips."""
+
+import numpy as np
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from locpv.errors import OutOfDomain, StencilClipped
+from locpv.field import (
+    DampedTranslational,
+    Grid1x1,
+    Harmonic,
+    load_grid_csv,
+    sample,
+    save_grid_csv,
+)
+from locpv.phasevel import pv_field, pv_point
+
+FIELDS = [Harmonic(3.0, 1.5), DampedTranslational(1.0, 0.2), DampedTranslational(-0.7, -0.1)]
+
+
+@st.composite
+def sampled_fields(draw):
+    grid = Grid1x1(
+        draw(st.floats(-2.0, 0.0)),
+        draw(st.floats(0.05, 0.3)),
+        draw(st.integers(8, 24)),
+        draw(st.floats(-1.0, 1.0)),
+        draw(st.floats(0.05, 0.3)),
+        draw(st.integers(8, 24)),
+    )
+    return sample(
+        draw(st.sampled_from(FIELDS)),
+        grid,
+        acc=draw(st.sampled_from([2, 4])),
+        one_sided=draw(st.booleans()),
+    )
+
+
+@st.composite
+def query_grids(draw, g):
+    """g itself, a window on g's own nodes, or a free grid; often past g's edges."""
+    kind = draw(st.sampled_from(["same", "nodes", "free"]))
+    if kind == "same":
+        return g
+    if kind == "nodes":
+        i, j = draw(st.integers(0, g.nx - 2)), draw(st.integers(0, g.nt - 2))
+        return Grid1x1(g.xs[i], g.dx, draw(st.integers(2, g.nx + 4)),
+                       g.ts[j], g.dt, draw(st.integers(2, g.nt + 4)))
+    wx, wt = g.x_max - g.x0, g.t_max - g.t0
+    return Grid1x1(
+        g.x0 + draw(st.floats(-0.5, 0.5)) * wx,
+        draw(st.floats(0.3, 2.0)) * g.dx,
+        draw(st.integers(2, 30)),
+        g.t0 + draw(st.floats(-0.5, 0.5)) * wt,
+        draw(st.floats(0.3, 2.0)) * g.dt,
+        draw(st.integers(2, 30)),
+    )
+
+
+def _finite_box(s, p, q):
+    """(t_lo, t_hi, x_lo, x_hi) of the nodes where the (p, q) FD grid is finite."""
+    rows, cols = np.nonzero(np.isfinite(s.derivative_grid(p, q)))
+    ts, xs = s.grid.ts, s.grid.xs
+    return ts[rows.min()], ts[rows.max()], xs[cols.min()], xs[cols.max()]
+
+
+@given(st.data())
+def test_no_valid_cell_outside_the_support(data):
+    s = data.draw(sampled_fields())
+    q = data.draw(query_grids(s.grid))
+    order = data.draw(st.integers(0, 2))
+    pvf = pv_field(s, q, order)
+    tt, xx = np.meshgrid(q.ts, q.xs, indexing="ij")
+    for p, k in ((1, order), (0, order + 1)):
+        t_lo, t_hi, x_lo, x_hi = _finite_box(s, p, k)
+        inside = (t_lo <= tt) & (tt <= t_hi) & (x_lo <= xx) & (xx <= x_hi)
+        assert not np.any(pvf.mask & ~inside)
+    assert np.all(np.isfinite(pvf.values[pvf.mask]))
+
+
+def _edges(lo, hi):
+    """The bounds of [lo, hi] and their neighbouring doubles on either side."""
+    return [lo, hi, np.nextafter(lo, -np.inf), np.nextafter(hi, np.inf),
+            np.nextafter(lo, np.inf), np.nextafter(hi, -np.inf)]
+
+
+@given(st.data())
+def test_pv_point_out_of_domain_exactly_outside_the_grid(data):
+    s = data.draw(sampled_fields())
+    g = s.grid
+    order = data.draw(st.integers(0, 2))
+    x_far = data.draw(st.floats(g.x0 - 3 * g.dx, g.x_max + 3 * g.dx))
+    t_far = data.draw(st.floats(g.t0 - 3 * g.dt, g.t_max + 3 * g.dt))
+    for x in _edges(g.x0, g.x_max) + [x_far]:
+        for t in _edges(g.t0, g.t_max) + [t_far]:
+            if not g.contains(x, t):
+                with pytest.raises(OutOfDomain) as exc:
+                    pv_point(s, x, t, order)
+                assert type(exc.value) is OutOfDomain
+            elif s.one_sided:
+                pv_point(s, x, t, order)
+            else:
+                try:
+                    pv_point(s, x, t, order)
+                except StencilClipped:
+                    pass  # inside the grid, beyond the reach of a central stencil
+
+
+@given(
+    st.floats(-1e6, 1e6),
+    st.floats(1e-9, 1e3),
+    st.integers(2, 6),
+    st.floats(-1e6, 1e6),
+    st.floats(1e-9, 1e3),
+    st.integers(2, 6),
+    st.data(),
+)
+def test_csv_save_load_save_is_byte_identical(tmp_path_factory, x0, dx, nx, t0, dt, nt, data):
+    grid = Grid1x1(x0, dx, nx, t0, dt, nt)
+    # any double, nan and the infinities included
+    values = np.array(data.draw(st.lists(st.floats(), min_size=nx * nt, max_size=nx * nt)))
+    name = data.draw(st.sampled_from(["psi", "v0", "v2", "lambda_w", "U"]))
+    d = tmp_path_factory.mktemp("csv")
+    save_grid_csv(d / "a.csv", grid, values.reshape(nt, nx), field_name=name)
+    g2, v2, name2 = load_grid_csv(d / "a.csv")
+    assert (g2, name2) == (grid, name)
+    save_grid_csv(d / "b.csv", g2, v2, field_name=name2)
+    assert (d / "a.csv").read_bytes() == (d / "b.csv").read_bytes()

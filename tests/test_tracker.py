@@ -109,6 +109,17 @@ class TestTrack:
         assert traj.terminated_by is Termination.DomainExit
         assert traj.t[-1] < 5.0
 
+    @pytest.mark.parametrize("one_sided", [True, False])
+    def test_clipped_band_is_a_domain_exit(self, one_sided):
+        # without one-sided stencils the peak leaves the domain of its
+        # derivatives one node before the grid edge
+        g = Grid1x1(-2.0, 0.02, 201, 0.0, 0.02, 201)
+        s = sample(Translational(1.0), g, one_sided=one_sided)
+        x0, t0 = find_seed(s, 1, 0.0, near=(0.0, 0.5))
+        traj = track(s, Attribute(1, 0.0, x0, t0), t_end=3.9, step=0.01)
+        assert traj.terminated_by is Termination.DomainExit
+        assert 1.9 < traj.x[-1] <= 2.0
+
 
 class TestConvergence:
     def test_rigid_translation_step_halving(self):
