@@ -402,16 +402,8 @@ def run_command(cfg: RunConfig) -> int:
 
 def main(argv=None) -> int:
     try:
-        cfg = parse_args(argv)
-    except UsageError as exc:
-        print(f"error: UsageError: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
-        print(f"error: FileNotFound: {exc}", file=sys.stderr)
-        return 3
-    try:
-        return run_command(cfg)
-    except UsageError as exc:
+        return run_command(parse_args(argv))
+    except (UsageError, ValueError) as exc:  # every ValueError in locpv validates input
         print(f"error: UsageError: {exc}", file=sys.stderr)
         return 2
     except LocpvError as exc:

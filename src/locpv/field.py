@@ -112,8 +112,8 @@ class Jet:
     table: np.ndarray
 
     def deriv(self, p, q):
-        if p + q > self.order:
-            raise OrderTooHigh(f"jet holds orders <= {self.order}")
+        if p < 0 or q < 0 or p + q > self.order:
+            raise OrderTooHigh(f"jet holds orders 0..{self.order}, not ({p}, {q})")
         return self.table[p, q]
 
     @property
@@ -162,15 +162,15 @@ class AnalyticField:
         return out if np.ndim(out) else float(out)
 
     def jet(self, x, t, order) -> Jet:
-        if order > self.nmax + 1:
-            raise OrderTooHigh(f"analytic fields support jets up to order {self.nmax + 1}")
+        if not 0 <= order <= self.nmax + 1:
+            raise OrderTooHigh(f"analytic fields support jets of order 0..{self.nmax + 1}")
         xs, ts = Taylor2.variables(float(x), float(t), order)
         return Jet(float(x), float(t), order, self.expr(xs, ts).deriv_table())
 
     def jet_batch(self, x, t, order):
         """Vectorized deriv_table over broadcast arrays of points."""
-        if order > self.nmax + 1:
-            raise OrderTooHigh(f"analytic fields support jets up to order {self.nmax + 1}")
+        if not 0 <= order <= self.nmax + 1:
+            raise OrderTooHigh(f"analytic fields support jets of order 0..{self.nmax + 1}")
         xs, ts = Taylor2.variables(np.asarray(x, float), np.asarray(t, float), order)
         return self.expr(xs, ts).deriv_table()
 
@@ -297,6 +297,10 @@ class CustomField(AnalyticField):
         ):
             cls._validate(node.left)
             cls._validate(node.right)
+            if isinstance(node.op, ast.Pow) and any(
+                isinstance(n, ast.Name) and n.id in ("x", "t") for n in ast.walk(node.right)
+            ):
+                raise ValueError("exponent must not depend on x or t")
         elif isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.USub, ast.UAdd)):
             cls._validate(node.operand)
         elif isinstance(node, ast.Call):
@@ -328,14 +332,15 @@ class CustomField(AnalyticField):
                     return a * b
                 if isinstance(node.op, ast.Div):
                     return a / b
-                if not isinstance(b, Taylor2):
-                    return t2_pow(a, b)
-                raise ValueError("exponent must be a constant")
+                # the exponent b is constant (checked by _validate)
+                return t2_pow(a, b) if isinstance(a, Taylor2) else np.power(a, b)
             if isinstance(node, ast.UnaryOp):
                 v = ev(node.operand)
                 return -v if isinstance(node.op, ast.USub) else v
             if isinstance(node, ast.Call):
-                return _CUSTOM_FUNCS[node.func.id](ev(node.args[0]))
+                a, fn = ev(node.args[0]), _CUSTOM_FUNCS[node.func.id]
+                # a constant argument gives a constant: the value of an order-0 jet
+                return fn(a) if isinstance(a, Taylor2) else fn(Taylor2.constant(a, 0)).value
             if isinstance(node, ast.Name):
                 if node.id in env:
                     return env[node.id]
@@ -498,8 +503,8 @@ class SampledField:
         return float(self._at(float(x), float(t), 0, 0))
 
     def jet(self, x, t, order) -> Jet:
-        if order > self.nmax + 1:
-            raise OrderTooHigh(f"sampled fields support jets up to order {self.nmax + 1}")
+        if not 0 <= order <= self.nmax + 1:
+            raise OrderTooHigh(f"sampled fields support jets of order 0..{self.nmax + 1}")
         x, t = float(x), float(t)
         table = np.zeros((order + 1, order + 1))
         for p in range(order + 1):

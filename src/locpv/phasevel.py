@@ -80,12 +80,7 @@ def pv_from_jet(jet, order, eps_den=None):
 
 def pv_point(field, x, t, order, eps_den=None):
     """Local N-th order phase velocity at one point; None at a pole."""
-    if order < 0:
-        raise OrderTooHigh("phase velocity order must be >= 0")
-    if order > field.nmax:
-        raise OrderTooHigh(f"field supports phase velocities up to order {field.nmax}")
-    jet = field.jet(x, t, order + 1)
-    return pv_from_jet(jet, order, eps_den)
+    return pv_from_jet(field.jet(x, t, order + 1), order, eps_den)
 
 
 def _deriv_arrays(field, grid, order):

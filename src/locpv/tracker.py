@@ -22,7 +22,7 @@ from .errors import (
     SingularSeed,
 )
 from .field import SampledField
-from .phasevel import pv_from_jet, pv_point
+from .phasevel import pv_from_jet
 
 __all__ = [
     "Attribute",
@@ -90,23 +90,26 @@ def global_velocity(traj: TrackedTrajectory):
     return (traj.x[-1] - traj.x[0]) / dt
 
 
-def _deriv_x(field, x, t, order):
-    """(value of order-th x-derivative, its x-derivative) at (x, t)."""
+def _probe(field, x, t, order, eps_den):
+    """(g, g', v) at (x, t) from one jet of order N+1: the order-th
+    x-derivative g, its x-derivative and the phase velocity (None at a pole)."""
     jet = field.jet(x, t, order + 1)
-    return jet.deriv(0, order), jet.deriv(0, order + 1)
+    return jet.deriv(0, order), jet.deriv(0, order + 1), pv_from_jet(jet, order, eps_den)
 
 
-def _project(field, x, t, order, target, iters=3):
-    """Newton-correct x so the order-th x-derivative returns to target."""
+def _project(field, x, t, order, target, eps_den, iters=3):
+    """Newton-correct x so the order-th x-derivative returns to target; returns
+    (x, v), v the phase velocity at the corrected x (None at a pole or g' = 0)."""
+    g, gp, v = _probe(field, x, t, order, eps_den)
     for _ in range(iters):
-        g, gp = _deriv_x(field, x, t, order)
         if abs(gp) < 1e-300:
-            return x, False
+            return x, None
         step = (g - target) / gp
         x = x - step
+        g, gp, v = _probe(field, x, t, order, eps_den)
         if abs(step) < 1e-14 * max(1.0, abs(x)):
             break
-    return x, True
+    return x, v
 
 
 def find_seed(field, order, target, near, bracket=None, xtol=None):
@@ -114,46 +117,57 @@ def find_seed(field, order, target, near, bracket=None, xtol=None):
 
     Searches for a sign change around near[0] (expanding geometrically up to
     `bracket`, default 8 length units for analytic fields / the grid width for
-    sampled ones), then refines it by bisection.
+    sampled ones), then refines it by bisection.  Scan points where the field
+    raises OutOfDomain are skipped; if every scan point does, that error is
+    raised.
     """
     x_near, t0 = near
     if isinstance(field, SampledField):
         g = field.grid
-        lo_lim, hi_lim = g.x0, g.x_max
         if bracket is None:
             bracket = g.x_max - g.x0
         if xtol is None:
             xtol = 1e-3 * g.dx
     else:
-        lo_lim, hi_lim = -np.inf, np.inf
         if bracket is None:
             bracket = 8.0
         if xtol is None:
             xtol = 1e-10 * bracket
 
-    def f(x):
-        return _deriv_x(field, x, t0, order)[0] - target
+    misses = []  # OutOfDomain errors of the scan points outside the domain
 
-    # expanding scan for a sign change
+    def f(x):
+        try:
+            return _probe(field, x, t0, order, None)[0] - target
+        except OutOfDomain as exc:
+            misses.append(exc)
+            return np.nan
+
+    # expanding scan for a sign change; nan (outside) pairs never qualify
     lo = hi = None
+    scanned = 0
     w = bracket / 64.0
     while w <= bracket + 1e-300:
-        a = max(x_near - w, lo_lim)
-        b = min(x_near + w, hi_lim)
-        xs = np.linspace(a, b, 65)
+        xs = np.linspace(x_near - w, x_near + w, 65)
         vals = np.array([f(x) for x in xs])
+        scanned += xs.size
         sign_flip = np.nonzero(vals[:-1] * vals[1:] <= 0)[0]
         hit = [k for k in sign_flip if vals[k] != 0 or vals[k + 1] != 0]
         if hit:
             k = min(hit, key=lambda k: abs(0.5 * (xs[k] + xs[k + 1]) - x_near))
-            lo, hi = xs[k], xs[k + 1]
+            (lo, hi), (flo, fhi) = xs[k : k + 2], vals[k : k + 2]
             break
         w *= 2.0
     if lo is None:
+        if len(misses) == scanned:
+            raise misses[0]
         raise NoBracket(
             f"no sign change of order-{order} derivative minus {target} near x={x_near}"
         )
-    flo = f(lo)
+    if flo == 0.0:
+        return lo, t0
+    if fhi == 0.0:
+        return hi, t0
     while hi - lo > xtol:
         mid = 0.5 * (lo + hi)
         fm = f(mid)
@@ -189,47 +203,40 @@ def track(
         seed_tol = rel * max(1.0, abs(attr.target))
 
     x, t = float(attr.x0), float(attr.t0)
-    g0, _ = _deriv_x(field, x, t, attr.order)
+    g0, _, v = _probe(field, x, t, attr.order, eps_den)
     if abs(g0 - attr.target) > seed_tol:
         raise SeedOffAttribute(
             f"derivative at seed is {g0!r}, target {attr.target!r}"
         )
-    v0 = pv_point(field, x, t, attr.order, eps_den)
-    if v0 is None:
+    if v is None:
         raise SingularSeed("phase velocity undefined at the seed point")
 
-    samples = [(t, x, v0)]
+    samples = [(t, x, v)]
     terminated = Termination.TimeLimit
 
     def rhs(xq, tq):
-        return pv_point(field, xq, tq, attr.order, eps_den)
+        return _probe(field, xq, tq, attr.order, eps_den)[2]
 
     while t < t_end - 1e-14 * max(1.0, abs(t_end)):
         h = min(step, t_end - t)
         try:
-            k1 = rhs(x, t)
-            k2 = rhs(x + 0.5 * h * k1, t + 0.5 * h) if k1 is not None else None
+            k1 = v  # the velocity at (x, t), from the seed or the last step
+            k2 = rhs(x + 0.5 * h * k1, t + 0.5 * h)
             k3 = rhs(x + 0.5 * h * k2, t + 0.5 * h) if k2 is not None else None
             k4 = rhs(x + h * k3, t + h) if k3 is not None else None
-        except OutOfDomain:
-            terminated = Termination.DomainExit
-            break
-        if k4 is None:
-            terminated = Termination.SingularityHit
-            break
-        x_new = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        t_new = t + h
-        try:
+            if k4 is None:
+                terminated = Termination.SingularityHit
+                break
+            x_new = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            t_new = t + h
             if project:
-                x_new, ok = _project(field, x_new, t_new, attr.order, attr.target)
-                if not ok:
-                    terminated = Termination.SingularityHit
-                    break
-            v_new = rhs(x_new, t_new)
+                x_new, v = _project(field, x_new, t_new, attr.order, attr.target, eps_den)
+            else:
+                v = rhs(x_new, t_new)
         except OutOfDomain:
             terminated = Termination.DomainExit
             break
-        if v_new is None:
+        if v is None:
             terminated = Termination.SingularityHit
             break
         if abs(x_new - x) < 1e-14 and h < 1e-14:
@@ -237,6 +244,6 @@ def track(
             terminated = Termination.SingularityHit
             break
         x, t = x_new, t_new
-        samples.append((t, x, v_new))
+        samples.append((t, x, v))
 
     return TrackedTrajectory(np.array(samples, float), terminated)

@@ -52,6 +52,10 @@ class TestGrammars:
         fld = parse_analytic("custom:sin(3*t - 1.5*x)")
         assert fld.eval(0.0, 0.0) == pytest.approx(0.0)
 
+    def test_custom_exponent_in_x_is_usage_error(self):
+        with pytest.raises(UsageError):
+            parse_analytic("custom:x**x")
+
     def test_medium_grammar(self):
         m = parse_medium("linear:1,0.1", c=1.0)
         assert m.n(2.0) == pytest.approx(1.2)
@@ -92,6 +96,28 @@ class TestExitCodes:
         )
         assert code == 1
         assert capsys.readouterr().err.splitlines()[0] == "error: NoBracket"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["track", "--analytic", "trans:gauss,a=1", "--order", "0", "--level", "0.5",
+             "--seed-near", "1,0", "--t-end", "-1", "--out", "OUT"],
+            ["track", "--analytic", "trans:gauss,a=1", "--order", "0", "--level", "0.5",
+             "--seed-near", "1,0", "--t-end", "1", "--step", "-0.1", "--out", "OUT"],
+            ["boost", "--add", "order0", "--v", "0.5", "--V", "1.5"],
+            ["boost", "--add", "order0", "--v", "0.5", "--V", "0.5", "--c", "-1"],
+            ["boost", "--audit", "order0", "--resolution", "1"],
+            ["simulate", "--grid=-5,0.025,400x0,0.02,400", "--initial", "gauss:-2.5,0",
+             "--out", "OUT"],
+        ],
+        ids=["t-end", "step", "frame-speed", "light-speed", "resolution", "initial"],
+    )
+    def test_invalid_value_is_usage_error(self, argv, tmp_path, capsys):
+        argv = [str(tmp_path / "o.csv") if a == "OUT" else a for a in argv]
+        assert run_cli(argv) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert [line for line in err if line.startswith("error:")] == [err[-1]]
+        assert err[-1].startswith("error: UsageError: ")
 
     def test_unknown_flag_exits_2(self):
         # the child imports the same locpv as this process, installed or not

@@ -5,6 +5,7 @@ import pytest
 
 from locpv.errors import OutOfDomain, StencilClipped
 from locpv.field import (
+    CustomField,
     DampedTranslational,
     Grid1x1,
     Harmonic,
@@ -63,6 +64,15 @@ class TestAnalyticEval:
         jet = Harmonic(3.0, 1.5).jet(0.0, 0.0, 1)
         assert jet.deriv(1, 0) == pytest.approx(3.0)
         assert jet.deriv(0, 1) == pytest.approx(-1.5)
+
+    def test_custom_call_on_a_constant(self):
+        fld = CustomField("exp(1)*sin(t-x)")
+        assert fld.eval(0.3, 1.0) == pytest.approx(np.e * np.sin(0.7), rel=1e-15)
+
+    def test_custom_power_of_constants(self):
+        jet = CustomField("2**3*x").jet(0.5, 0.0, 1)
+        assert jet.value == 4.0
+        assert jet.deriv(0, 1) == 8.0
 
 
 class TestSampling:

@@ -1,20 +1,24 @@
-"""Property tests: the sampled domain, the point-query domain, CSV round trips."""
+"""Property tests: the sampled domain, the point-query domain, CSV round trips,
+seeds on their attribute."""
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from locpv.errors import OutOfDomain, StencilClipped
+from locpv.errors import NoBracket, OutOfDomain, StencilClipped
 from locpv.field import (
     DampedTranslational,
     Grid1x1,
     Harmonic,
+    KinkDamped,
+    Translational,
     load_grid_csv,
     sample,
     save_grid_csv,
 )
 from locpv.phasevel import pv_field, pv_point
+from locpv.tracker import find_seed
 
 FIELDS = [Harmonic(3.0, 1.5), DampedTranslational(1.0, 0.2), DampedTranslational(-0.7, -0.1)]
 
@@ -127,3 +131,58 @@ def test_csv_save_load_save_is_byte_identical(tmp_path_factory, x0, dx, nx, t0, 
     assert (g2, name2) == (grid, name)
     save_grid_csv(d / "b.csv", g2, v2, field_name=name2)
     assert (d / "a.csv").read_bytes() == (d / "b.csv").read_bytes()
+
+
+def _assert_seed_on_attribute(field, order, target, near, xtol):
+    """find_seed gives up with NoBracket or OutOfDomain, or returns a point
+    inside the domain of its jet that brackets the target within xtol."""
+    try:
+        x0, t0 = find_seed(field, order, target, near)
+    except (NoBracket, OutOfDomain):
+        return
+    assert t0 == near[1]
+    field.jet(x0, t0, order + 1)
+    lo, hi = (field.jet(x, t0, order + 1).deriv(0, order) - target for x in (x0 - xtol, x0 + xtol))
+    assert lo * hi <= 0
+
+
+ANALYTIC = [
+    Translational(1.2),
+    Translational(-0.8, "sin"),
+    DampedTranslational(0.9, 0.1),
+    KinkDamped(1.1, 0.1),
+    Harmonic(3.0, 1.5),
+]
+
+
+@settings(max_examples=25)  # each bisection costs ~40 scalar jets
+@given(
+    st.sampled_from(ANALYTIC),
+    st.integers(0, 2),
+    st.floats(-1.0, 1.0),
+    st.floats(-2.0, 2.0),
+    st.floats(-1.0, 1.0),
+)
+def test_analytic_seed_lies_on_the_attribute(field, order, target, x_near, t0):
+    _assert_seed_on_attribute(field, order, target, (x_near, t0), xtol=1e-10 * 8.0)
+
+
+@given(st.data())
+def test_sampled_seed_lies_on_the_attribute(data):
+    s = data.draw(sampled_fields())
+    g = s.grid
+    wx = g.x_max - g.x0
+    near = (data.draw(st.floats(g.x0 - 0.5 * wx, g.x_max + 0.5 * wx)),
+            data.draw(st.floats(g.t0, g.t_max)))
+    order = data.draw(st.integers(0, 2))
+    _assert_seed_on_attribute(s, order, data.draw(st.floats(-1.0, 1.0)), near, xtol=1e-3 * g.dx)
+
+
+def test_seed_root_inside_a_clipped_grid():
+    # the scan windows overhang a one_sided=False grid whose root x = 1 + sqrt(ln 2)
+    # lies inside the support
+    g = Grid1x1(-2.0, 0.02, 201, 0.0, 0.02, 201)
+    s = sample(Translational(1.0), g, one_sided=False)
+    x0, t0 = find_seed(s, 0, 0.5, near=(1.9, 1.0))
+    assert abs(x0 - 1.8326) < 1e-3
+    _assert_seed_on_attribute(s, 0, 0.5, (1.9, 1.0), xtol=1e-3 * g.dx)

@@ -6,10 +6,19 @@ import pytest
 from locpv.errors import (
     DegenerateTrajectory,
     NoBracket,
+    OrderTooHigh,
+    OutOfDomain,
     SeedOffAttribute,
     SingularSeed,
+    StencilClipped,
 )
-from locpv.field import DampedTranslational, Grid1x1, Translational, sample
+from locpv.field import (
+    DampedTranslational,
+    Grid1x1,
+    KinkDamped,
+    Translational,
+    sample,
+)
 from locpv.phasevel import pv_point
 from locpv.tracker import (
     Attribute,
@@ -42,6 +51,27 @@ class TestFindSeed:
         s = sample(Translational(1.0), g)
         x0, _ = find_seed(s, 0, 0.5, near=(1.0, 0.0))
         assert x0 == pytest.approx(SQRT_LN2, abs=1e-3)
+
+    @pytest.mark.parametrize("k", [20, 40])
+    def test_exact_zero_at_a_scan_point_is_the_seed(self, k):
+        # the first scan around 0.9 has half-width 8/64; the chosen bracket
+        # starts (k = 20) or ends (k = 40) at the scan point on the target
+        fld = Translational(1.0)
+        xs = np.linspace(0.9 - 0.125, 0.9 + 0.125, 65)
+        target = fld.jet(xs[k], 0.0, 1).value
+        x0, t0 = find_seed(fld, 0, target, near=(0.9, 0.0))
+        assert x0 == xs[k]
+        traj = track(fld, Attribute(0, target, x0, t0), t_end=0.5, step=0.05)
+        assert traj.terminated_by is Termination.TimeLimit
+
+    def test_no_scan_point_in_the_domain_raises_the_fields_error(self):
+        g = Grid1x1(-2.0, 0.02, 201, 0.0, 0.02, 201)
+        with pytest.raises(OutOfDomain) as info:
+            find_seed(sample(Translational(1.0), g), 0, 0.5, near=(9.0, 1.0), bracket=2.0)
+        assert type(info.value) is OutOfDomain
+        # without one-sided stencils no x-derivative jet exists at the first time row
+        with pytest.raises(StencilClipped):
+            find_seed(sample(Translational(1.0), g, one_sided=False), 0, 0.5, near=(0.8, 0.0))
 
 
 class TestTrack:
@@ -197,3 +227,115 @@ class TestCsv:
         assert lines[-2] == "# terminated_by=TimeLimit"
         assert lines[-1].startswith("# global_velocity=")
         assert len(lines) == 3 + len(traj.samples)
+
+
+def _reference_track(field, attr, t_end, step, project):
+    """The tracker written out plainly: RK4 with one pv_point per stage, then
+    up to 3 Newton steps, each on a fresh jet, and a pv_point at the result."""
+    order, target = attr.order, attr.target
+    x, t = attr.x0, attr.t0
+    samples = [(t, x, pv_point(field, x, t, order))]
+    while t < t_end - 1e-14 * max(1.0, abs(t_end)):
+        h = min(step, t_end - t)
+        try:
+            k1 = pv_point(field, x, t, order)
+            k2 = pv_point(field, x + 0.5 * h * k1, t + 0.5 * h, order) if k1 is not None else None
+            k3 = pv_point(field, x + 0.5 * h * k2, t + 0.5 * h, order) if k2 is not None else None
+            k4 = pv_point(field, x + h * k3, t + h, order) if k3 is not None else None
+        except OutOfDomain:
+            return samples, Termination.DomainExit
+        if k4 is None:
+            return samples, Termination.SingularityHit
+        x_new = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        t_new = t + h
+        try:
+            for _ in range(3 if project else 0):
+                jet = field.jet(x_new, t_new, order + 1)
+                g, gp = jet.deriv(0, order), jet.deriv(0, order + 1)
+                if abs(gp) < 1e-300:
+                    return samples, Termination.SingularityHit
+                dx = (g - target) / gp
+                x_new = x_new - dx
+                if abs(dx) < 1e-14 * max(1.0, abs(x_new)):
+                    break
+            v = pv_point(field, x_new, t_new, order)
+        except OutOfDomain:
+            return samples, Termination.DomainExit
+        if v is None or (abs(x_new - x) < 1e-14 and h < 1e-14):
+            return samples, Termination.SingularityHit
+        x, t = x_new, t_new
+        samples.append((t, x, v))
+    return samples, Termination.TimeLimit
+
+
+_SAMPLED_PULSE = sample(
+    DampedTranslational(1.0, 0.1), Grid1x1(-3.0, 0.02, 301, 0.0, 0.02, 101)
+)
+
+# (label, field, order, target, x_near, t0, t_end, steps)
+_REFERENCE_CASES = [
+    (f"{name}.o{order}", fld, order, target, near, 0.0, 1.0, 40)
+    for name, fld, targets in [
+        ("trans", Translational(1.2), (0.5, 0.2, 0.0)),
+        ("damped", DampedTranslational(0.9, 0.1), (0.5, 0.2, 0.0)),
+        ("kink", KinkDamped(1.1, 0.1), (0.5, -0.5, 0.0)),
+    ]
+    for order, target, near in zip(range(3), targets, (0.6, -0.4, 0.7))
+] + [
+    ("sampled.o0", _SAMPLED_PULSE, 0, 0.4, -0.5, 0.2, 1.0, 40),
+    ("sampled.o1", _SAMPLED_PULSE, 1, 0.0, 0.2, 0.2, 1.0, 40),
+    ("sampled.exit", _SAMPLED_PULSE, 0, 0.4, 1.3, 0.2, 5.0, 250),
+    ("damped.annihilated", DampedTranslational(1.0, 0.5), 0, 0.5, -1.0, 0.0, 3.0, 150),
+]
+
+# the level leaves the grid; damping sinks the peak below the level
+_ENDS = {
+    "sampled.exit": Termination.DomainExit,
+    "damped.annihilated": Termination.SingularityHit,
+}
+
+
+class TestReferenceLoop:
+    @pytest.mark.parametrize("project", [True, False])
+    @pytest.mark.parametrize(
+        "label, fld, order, target, near, t0, t_end, steps",
+        _REFERENCE_CASES,
+        ids=[c[0] for c in _REFERENCE_CASES],
+    )
+    def test_bitwise_equal_to_reference(
+        self, label, fld, order, target, near, t0, t_end, steps, project
+    ):
+        x0, t0 = find_seed(fld, order, target, near=(near, t0))
+        attr = Attribute(order, target, x0, t0)
+        step = (t_end - t0) / steps
+        traj = track(fld, attr, t_end, step=step, project=project)
+        samples, terminated = _reference_track(fld, attr, t_end, step, project)
+        assert traj.terminated_by is terminated
+        assert np.array_equal(traj.samples, np.array(samples, float))
+        if project and label in _ENDS:
+            assert terminated is _ENDS[label]
+
+
+class TestJetBudget:
+    def test_five_jets_per_step_on_a_level(self, monkeypatch):
+        # k1 reuses the last step's velocity; projection probes the RK4 point
+        # and the corrected one, whose jet also gives the new velocity
+        calls = []
+        jet = Translational.jet
+
+        def counting_jet(self, x, t, order):
+            calls.append((x, t))
+            return jet(self, x, t, order)
+
+        monkeypatch.setattr(Translational, "jet", counting_jet)
+        traj = track(Translational(1.0), Attribute(0, 0.5, SQRT_LN2, 0.0), t_end=1.0, step=0.01)
+        steps = len(traj.samples) - 1
+        assert steps == 100
+        assert len(calls) <= 1 + 5 * steps
+
+
+class TestJetDeriv:
+    @pytest.mark.parametrize("p, q", [(0, -1), (-1, 1)])
+    def test_negative_order_is_rejected(self, p, q):
+        with pytest.raises(OrderTooHigh):
+            Translational(1.0).jet(0.3, 0.0, 1).deriv(p, q)
