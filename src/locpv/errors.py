@@ -15,11 +15,12 @@ class LocpvError(Exception):
 
 
 class OutOfDomain(LocpvError):
-    """Query point lies outside a sampled field's grid or a needed derivative's domain."""
+    """Query point lies outside a sampled field's grid, its domain."""
 
 
 class StencilClipped(OutOfDomain):
-    """Point in a sampled grid but beyond the reach of a central stencil it needs."""
+    """A sampled grid axis is too short for a derivative's stencil, so no point
+    of the grid has that derivative."""
 
 
 class OrderTooHigh(LocpvError):

@@ -331,6 +331,8 @@ class CustomField(AnalyticField):
                 if isinstance(node.op, ast.Mult):
                     return a * b
                 if isinstance(node.op, ast.Div):
+                    if not isinstance(b, Taylor2) and b == 0:
+                        raise ValueError("division by a constant zero in expression")
                     return a / b
                 # the exponent b is constant (checked by _validate)
                 return t2_pow(a, b) if isinstance(a, Taylor2) else np.power(a, b)
@@ -382,29 +384,26 @@ def fd_weights(z, nodes, m):
     return w[m]
 
 
-def _central_offsets(m, acc):
-    half = (m + 1) // 2 + acc // 2 - 1
+def _central_offsets(m):
+    half = (m + 1) // 2
     return np.arange(-half, half + 1)
 
 
-def _diff_axis(values, h, m, axis, acc, one_sided):
+def _diff_axis(values, h, m, axis):
     """m-th derivative along axis, central interior, one-sided near edges."""
     if m == 0:
         return values
     v = np.moveaxis(values, axis, 0)
     n = v.shape[0]
-    offs = _central_offsets(m, acc)
+    offs = _central_offsets(m)
     half = offs[-1]
-    width = m + acc  # one-sided stencil size
-    if n < max(2 * half + 1, width):
+    width = m + 2  # one-sided stencil size, never below the central one
+    if n < width:
         raise StencilClipped(f"axis too short for order-{m} stencil")
     out = np.empty_like(v, dtype=float)
     wc = fd_weights(0.0, offs, m) / h ** m
-    core = sum(w * v[half + o : n - half + o] for w, o in zip(wc, offs))
-    out[half : n - half] = core
-    # edges: one-sided stencils (order-acc accurate), or nan without them
-    out[:half] = out[n - half :] = np.nan
-    for i in range(half if one_sided else 0):
+    out[half : n - half] = sum(w * v[half + o : n - half + o] for w, o in zip(wc, offs))
+    for i in range(half):
         wf = fd_weights(float(i), np.arange(width), m) / h ** m
         out[i] = np.tensordot(wf, v[:width], axes=(0, 0))
         wb = fd_weights(float(n - 1 - i), np.arange(n - width, n), m) / h ** m
@@ -418,11 +417,15 @@ def _diff_axis(values, h, m, axis, acc, one_sided):
 
 
 class SampledField:
-    """Uniformly sampled field; values[j, i] = psi(x_i, t_j), shape (nt, nx)."""
+    """Uniformly sampled field; values[j, i] = psi(x_i, t_j), shape (nt, nx).
+
+    Its domain is the closed grid rectangle, for every derivative (a
+    derivative whose stencil is longer than a grid axis exists nowhere).
+    """
 
     nmax = SAMPLED_NMAX
 
-    def __init__(self, grid: Grid1x1, values, acc: int = 2, one_sided: bool = True):
+    def __init__(self, grid: Grid1x1, values):
         values = np.asarray(values, float)
         if values.shape != (grid.nt, grid.nx):
             raise ValueError(
@@ -430,12 +433,8 @@ class SampledField:
             )
         if not np.all(np.isfinite(values)):
             raise ValueError("sampled field contains non-finite values")
-        if acc not in (2, 4):
-            raise ValueError("stencil accuracy must be 2 or 4")
         self.grid = grid
         self.values = values
-        self.acc = acc
-        self.one_sided = one_sided
         self._deriv_grids = {}
         self._splines = {}
 
@@ -447,57 +446,38 @@ class SampledField:
             raise OrderTooHigh(f"sampled fields support derivatives up to order {self.nmax + 1}")
         key = (p, q)
         if key not in self._deriv_grids:
-            g = _diff_axis(self.values, self.grid.dt, p, 0, self.acc, self.one_sided)
-            g = _diff_axis(g, self.grid.dx, q, 1, self.acc, self.one_sided)
+            g = _diff_axis(self.values, self.grid.dt, p, 0)
+            g = _diff_axis(g, self.grid.dx, q, 1)
             self._deriv_grids[key] = g
         return self._deriv_grids[key]
 
-    def _support(self, p, q):
-        """Rows and columns where the (p, q) FD grid is finite: the whole grid
-        when one_sided, otherwise the grid trimmed by the central half-width on
-        each differentiated axis."""
-        ht, hx = (
-            _central_offsets(m, self.acc)[-1] if m and not self.one_sided else 0
-            for m in (p, q)
-        )
-        return slice(ht, self.grid.nt - ht), slice(hx, self.grid.nx - hx)
-
     def _spline(self, p, q):
-        """Bicubic spline of the (p, q) FD grid fitted on its support only, and
-        the support's node box (t_lo, t_hi, x_lo, x_hi)."""
+        """Bicubic spline of the (p, q) FD grid (of lower degree on an axis of
+        under 4 nodes)."""
         key = (p, q)
         if key not in self._splines:
-            g = self.derivative_grid(p, q)
-            rows, cols = self._support(p, q)
-            ts, xs = self.grid.ts[rows], self.grid.xs[cols]
-            if min(ts.size, xs.size) < 2:
-                raise StencilClipped(f"the ({p}, {q}) stencils leave under 2 nodes on an axis")
-            kx, ky = min(3, ts.size - 1), min(3, xs.size - 1)
-            box = tuple(map(float, (ts[0], ts[-1], xs[0], xs[-1])))
-            self._splines[key] = RectBivariateSpline(ts, xs, g[rows, cols], kx=kx, ky=ky), box
+            g = self.grid
+            kx, ky = min(3, g.nt - 1), min(3, g.nx - 1)
+            self._splines[key] = RectBivariateSpline(
+                g.ts, g.xs, self.derivative_grid(p, q), kx=kx, ky=ky
+            )
         return self._splines[key]
-
-    def _in_support(self, p, q, x, t):
-        """Whether (x, t) lies in the node box of the (p, q) support; broadcasts."""
-        t_lo, t_hi, x_lo, x_hi = self._spline(p, q)[1]
-        return (t_lo <= t) & (t <= t_hi) & (x_lo <= x) & (x <= x_hi)
 
     def derivatives_on(self, grid: Grid1x1, p, q):
         """d^{p+q} psi / dt^p dx^q on grid: ``derivative_grid`` on the sampling
-        grid, elsewhere its spline with nan outside the support (no extrapolation)."""
+        grid, elsewhere its spline with nan outside the samples (no extrapolation)."""
         if grid == self.grid:
             return self.derivative_grid(p, q)
-        values = self._spline(p, q)[0](grid.ts, grid.xs)
-        return np.where(self._in_support(p, q, grid.xs, grid.ts[:, None]), values, np.nan)
+        values = self._spline(p, q)(grid.ts, grid.xs)
+        return np.where(self.grid.contains(grid.xs, grid.ts[:, None]), values, np.nan)
 
     # -- queries -------------------------------------------------------------
 
     def _at(self, x, t, p, q):
-        """Spline value of the (p, q) derivative at one point of its support."""
-        if not self._in_support(p, q, x, t):
-            err = StencilClipped if self.grid.contains(x, t) else OutOfDomain
-            raise err(f"point ({x}, {t}) outside the domain of the ({p}, {q}) derivative")
-        return self._spline(p, q)[0](t, x)[0, 0]
+        """Spline value of the (p, q) derivative at one point of the grid."""
+        if not self.grid.contains(x, t):
+            raise OutOfDomain(f"point ({x}, {t}) outside the sampling grid")
+        return self._spline(p, q)(t, x)[0, 0]
 
     def eval(self, x, t):
         return float(self._at(float(x), float(t), 0, 0))
@@ -513,11 +493,11 @@ class SampledField:
         return Jet(x, t, order, table)
 
 
-def sample(field: AnalyticField, grid: Grid1x1, **kwargs) -> SampledField:
+def sample(field: AnalyticField, grid: Grid1x1) -> SampledField:
     """Evaluate an analytic field exactly on every grid node."""
     tt, xx = np.meshgrid(grid.ts, grid.xs, indexing="ij")
     xs, ts = Taylor2.variables(xx, tt, 0)
-    return SampledField(grid, field.expr(xs, ts).value, **kwargs)
+    return SampledField(grid, field.expr(xs, ts).value)
 
 
 # ---------------------------------------------------------------------------

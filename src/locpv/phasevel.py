@@ -68,19 +68,18 @@ def pole_eps(num, den):
     return max(EPS_DEN_FLOOR, 1e-12 * max(abs(num), abs(den)))
 
 
-def pv_from_jet(jet, order, eps_den=None):
+def pv_from_jet(jet, order):
     """Phase velocity of the given order from a precomputed jet, or None."""
     num = jet.deriv(1, order)
     den = jet.deriv(0, order + 1)
-    eps = pole_eps(num, den) if eps_den is None else eps_den
-    if abs(den) < eps:
+    if abs(den) < pole_eps(num, den):
         return None
     return -num / den
 
 
-def pv_point(field, x, t, order, eps_den=None):
+def pv_point(field, x, t, order):
     """Local N-th order phase velocity at one point; None at a pole."""
-    return pv_from_jet(field.jet(x, t, order + 1), order, eps_den)
+    return pv_from_jet(field.jet(x, t, order + 1), order)
 
 
 def _deriv_arrays(field, grid, order):

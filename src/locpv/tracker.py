@@ -33,6 +33,9 @@ __all__ = [
     "global_velocity",
 ]
 
+SEED_BRACKET = 8.0  # largest half-width of find_seed's scan on analytic fields
+NEWTON_ITERS = 3    # Newton corrections of each projection onto the attribute
+
 
 class Termination(enum.Enum):
     TimeLimit = "TimeLimit"
@@ -90,55 +93,49 @@ def global_velocity(traj: TrackedTrajectory):
     return (traj.x[-1] - traj.x[0]) / dt
 
 
-def _probe(field, x, t, order, eps_den):
+def _probe(field, x, t, order):
     """(g, g', v) at (x, t) from one jet of order N+1: the order-th
     x-derivative g, its x-derivative and the phase velocity (None at a pole)."""
     jet = field.jet(x, t, order + 1)
-    return jet.deriv(0, order), jet.deriv(0, order + 1), pv_from_jet(jet, order, eps_den)
+    return jet.deriv(0, order), jet.deriv(0, order + 1), pv_from_jet(jet, order)
 
 
-def _project(field, x, t, order, target, eps_den, iters=3):
+def _project(field, x, t, order, target):
     """Newton-correct x so the order-th x-derivative returns to target; returns
     (x, v), v the phase velocity at the corrected x (None at a pole or g' = 0)."""
-    g, gp, v = _probe(field, x, t, order, eps_den)
-    for _ in range(iters):
+    g, gp, v = _probe(field, x, t, order)
+    for _ in range(NEWTON_ITERS):
         if abs(gp) < 1e-300:
             return x, None
         step = (g - target) / gp
         x = x - step
-        g, gp, v = _probe(field, x, t, order, eps_den)
+        g, gp, v = _probe(field, x, t, order)
         if abs(step) < 1e-14 * max(1.0, abs(x)):
             break
     return x, v
 
 
-def find_seed(field, order, target, near, bracket=None, xtol=None):
+def find_seed(field, order, target, near):
     """Locate x0 with (d/dx)^order psi(x0, t0) = target at fixed t0 = near[1].
 
     Searches for a sign change around near[0] (expanding geometrically up to
-    `bracket`, default 8 length units for analytic fields / the grid width for
-    sampled ones), then refines it by bisection.  Scan points where the field
-    raises OutOfDomain are skipped; if every scan point does, that error is
-    raised.
+    a half-width of SEED_BRACKET for analytic fields / the grid width for
+    sampled ones), then refines it by bisection to 1e-10 of that half-width
+    (1e-3 dx on sampled fields).  Scan points where the field raises
+    OutOfDomain are skipped; if every scan point does, that error is raised.
     """
     x_near, t0 = near
     if isinstance(field, SampledField):
         g = field.grid
-        if bracket is None:
-            bracket = g.x_max - g.x0
-        if xtol is None:
-            xtol = 1e-3 * g.dx
+        bracket, xtol = g.x_max - g.x0, 1e-3 * g.dx
     else:
-        if bracket is None:
-            bracket = 8.0
-        if xtol is None:
-            xtol = 1e-10 * bracket
+        bracket, xtol = SEED_BRACKET, 1e-10 * SEED_BRACKET
 
     misses = []  # OutOfDomain errors of the scan points outside the domain
 
     def f(x):
         try:
-            return _probe(field, x, t0, order, None)[0] - target
+            return _probe(field, x, t0, order)[0] - target
         except OutOfDomain as exc:
             misses.append(exc)
             return np.nan
@@ -187,7 +184,6 @@ def track(
     step=None,
     project=True,
     seed_tol=None,
-    eps_den=None,
 ) -> TrackedTrajectory:
     """Follow the attribute from its seed to t_end (or an earlier obstruction)."""
     if step is None:
@@ -203,7 +199,7 @@ def track(
         seed_tol = rel * max(1.0, abs(attr.target))
 
     x, t = float(attr.x0), float(attr.t0)
-    g0, _, v = _probe(field, x, t, attr.order, eps_den)
+    g0, _, v = _probe(field, x, t, attr.order)
     if abs(g0 - attr.target) > seed_tol:
         raise SeedOffAttribute(
             f"derivative at seed is {g0!r}, target {attr.target!r}"
@@ -215,7 +211,7 @@ def track(
     terminated = Termination.TimeLimit
 
     def rhs(xq, tq):
-        return _probe(field, xq, tq, attr.order, eps_den)[2]
+        return _probe(field, xq, tq, attr.order)[2]
 
     while t < t_end - 1e-14 * max(1.0, abs(t_end)):
         h = min(step, t_end - t)
@@ -230,7 +226,7 @@ def track(
             x_new = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
             t_new = t + h
             if project:
-                x_new, v = _project(field, x_new, t_new, attr.order, attr.target, eps_den)
+                x_new, v = _project(field, x_new, t_new, attr.order, attr.target)
             else:
                 v = rhs(x_new, t_new)
         except OutOfDomain:

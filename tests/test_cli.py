@@ -109,8 +109,11 @@ class TestExitCodes:
             ["boost", "--audit", "order0", "--resolution", "1"],
             ["simulate", "--grid=-5,0.025,400x0,0.02,400", "--initial", "gauss:-2.5,0",
              "--out", "OUT"],
+            ["pv", "--analytic", "custom:1/0*x", "--order", "0",
+             "--grid", "0,0.1,10x0,0.1,10", "--out", "OUT"],
         ],
-        ids=["t-end", "step", "frame-speed", "light-speed", "resolution", "initial"],
+        ids=["t-end", "step", "frame-speed", "light-speed", "resolution", "initial",
+             "zero-division"],
     )
     def test_invalid_value_is_usage_error(self, argv, tmp_path, capsys):
         argv = [str(tmp_path / "o.csv") if a == "OUT" else a for a in argv]
@@ -118,6 +121,17 @@ class TestExitCodes:
         err = capsys.readouterr().err.splitlines()
         assert [line for line in err if line.startswith("error:")] == [err[-1]]
         assert err[-1].startswith("error: UsageError: ")
+
+    def test_two_row_csv_is_stencil_clipped(self, tmp_path, capsys):
+        # a 2-row grid is too short for the t-stencil of every velocity
+        field_csv = tmp_path / "field.csv"
+        g = Grid1x1(-2.0, 0.05, 81, 0.0, 0.05, 2)
+        save_grid_csv(field_csv, g, sample(Harmonic(3.0, 1.5), g).values)
+        code = run_cli(
+            ["pv", "--in", str(field_csv), "--order", "0", "--out", str(tmp_path / "o.csv")]
+        )
+        assert code == 1
+        assert capsys.readouterr().err.splitlines() == ["error: StencilClipped"]
 
     def test_unknown_flag_exits_2(self):
         # the child imports the same locpv as this process, installed or not

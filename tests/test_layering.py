@@ -1,0 +1,129 @@
+"""Layering: no locpv module reaches into another module's private names."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import locpv
+
+PACKAGE = Path(locpv.__file__).resolve().parent
+MODULES = sorted(p.stem for p in PACKAGE.glob("*.py"))
+
+
+def _private(name):
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
+def private_definitions(tree):
+    """Private names a module defines: functions, classes, methods, variables
+    and the attributes it stores."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+            names.add(node.attr)
+    return {n for n in names if _private(n)}
+
+
+def _imported_module(node):
+    """The locpv module an ``ImportFrom`` reads from, or None for other packages."""
+    if node.level == 1:
+        return node.module or "__init__"
+    if node.level == 0 and node.module and node.module.split(".")[0] == "locpv":
+        return node.module.partition(".")[2] or "__init__"
+    return None
+
+
+def private_reaches(source, current, defined):
+    """(line, text) of each private name of another locpv module that module
+    ``current`` imports or reads as an attribute; ``defined`` maps each other
+    module to its private names."""
+    tree = ast.parse(source)
+    own = private_definitions(tree)
+    elsewhere = set().union(*(v for k, v in defined.items() if k != current)) - own
+    modules = {}  # local name -> the locpv module it is bound to
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and _imported_module(node) is not None:
+            target = _imported_module(node)
+            for alias in node.names:
+                if target == "__init__" and alias.name in MODULES:
+                    modules[alias.asname or alias.name] = alias.name
+                elif _private(alias.name) and target != current:
+                    found.append((node.lineno, f"{target}.{alias.name}"))
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                parts = alias.name.split(".")
+                if parts[0] == "locpv":
+                    module = parts[1] if alias.asname and len(parts) > 1 else "__init__"
+                    modules[alias.asname or "locpv"] = module
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.Attribute) and _private(node.attr)):
+            continue
+        chain, base = [], node.value
+        while isinstance(base, ast.Attribute):
+            chain.insert(0, base.attr)
+            base = base.value
+        if isinstance(base, ast.Name) and base.id in modules:
+            # module.name or locpv.module.name
+            target = modules[base.id]
+            if target == "__init__" and chain and chain[0] in MODULES:
+                target, chain = chain[0], chain[1:]
+            if not chain and target != current:
+                found.append((node.lineno, f"{target}.{node.attr}"))
+        elif not (isinstance(base, ast.Name) and base.id in ("self", "cls") and not chain):
+            # an object of another module's class: obj._helper
+            if node.attr in elsewhere:
+                found.append((node.lineno, f"<object>.{node.attr}"))
+    return found
+
+
+DEFINED = {m: private_definitions(ast.parse((PACKAGE / f"{m}.py").read_text())) for m in MODULES}
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_no_module_reads_another_modules_private_names(module):
+    source = (PACKAGE / f"{module}.py").read_text()
+    assert private_reaches(source, module, DEFINED) == []
+
+
+@pytest.mark.parametrize(
+    "source, reach",
+    [
+        ("from .field import _diff_axis", "field._diff_axis"),
+        ("from locpv.field import Grid1x1, _central_offsets", "field._central_offsets"),
+        ("from . import field as f\nf._diff_axis", "field._diff_axis"),
+        ("from . import _private_helper", "__init__._private_helper"),
+        ("import locpv.field as f\nf._diff_axis", "field._diff_axis"),
+        ("import locpv.field\nlocpv.field._diff_axis", "field._diff_axis"),
+        # the reach-in that SampledField.derivatives_on replaced
+        ("def f(field):\n    return field._spline(0, 1)", "<object>._spline"),
+        ("def f(s):\n    return s.values, s._deriv_grids", "<object>._deriv_grids"),
+    ],
+    ids=["from-relative", "from-absolute", "module-alias", "package", "import-as",
+         "import-dotted", "object-method", "object-attribute"],
+)
+def test_checker_finds_private_reaches(source, reach):
+    assert [text for _, text in private_reaches(source, "phasevel", DEFINED)] == [reach]
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        "from . import field\nfield.SampledField",
+        "from .field import __all__",
+        "from numpy import _globals",
+        "import numpy as np\nnp._NoValue",
+        "self._spline(0, 0)",
+        "from .phasevel import _deriv_arrays",  # the module's own name
+        "def _spline(): pass\nobj._spline",  # a name the module defines itself
+    ],
+    ids=["public", "dunder", "other-package", "other-package-attribute", "self",
+         "own-import", "own-name"],
+)
+def test_checker_allows_public_and_own_names(source):
+    assert private_reaches(source, "phasevel", DEFINED) == []

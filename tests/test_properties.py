@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from locpv.errors import NoBracket, OutOfDomain, StencilClipped
+from locpv.errors import NoBracket, OutOfDomain
 from locpv.field import (
     DampedTranslational,
     Grid1x1,
@@ -33,12 +33,7 @@ def sampled_fields(draw):
         draw(st.floats(0.05, 0.3)),
         draw(st.integers(8, 24)),
     )
-    return sample(
-        draw(st.sampled_from(FIELDS)),
-        grid,
-        acc=draw(st.sampled_from([2, 4])),
-        one_sided=draw(st.booleans()),
-    )
+    return sample(draw(st.sampled_from(FIELDS)), grid)
 
 
 @st.composite
@@ -62,24 +57,14 @@ def query_grids(draw, g):
     )
 
 
-def _finite_box(s, p, q):
-    """(t_lo, t_hi, x_lo, x_hi) of the nodes where the (p, q) FD grid is finite."""
-    rows, cols = np.nonzero(np.isfinite(s.derivative_grid(p, q)))
-    ts, xs = s.grid.ts, s.grid.xs
-    return ts[rows.min()], ts[rows.max()], xs[cols.min()], xs[cols.max()]
-
-
 @given(st.data())
 def test_no_valid_cell_outside_the_support(data):
+    # a sampled field's support is its grid
     s = data.draw(sampled_fields())
     q = data.draw(query_grids(s.grid))
     order = data.draw(st.integers(0, 2))
     pvf = pv_field(s, q, order)
-    tt, xx = np.meshgrid(q.ts, q.xs, indexing="ij")
-    for p, k in ((1, order), (0, order + 1)):
-        t_lo, t_hi, x_lo, x_hi = _finite_box(s, p, k)
-        inside = (t_lo <= tt) & (tt <= t_hi) & (x_lo <= xx) & (xx <= x_hi)
-        assert not np.any(pvf.mask & ~inside)
+    assert not np.any(pvf.mask & ~s.grid.contains(q.xs, q.ts[:, None]))
     assert np.all(np.isfinite(pvf.values[pvf.mask]))
 
 
@@ -98,17 +83,12 @@ def test_pv_point_out_of_domain_exactly_outside_the_grid(data):
     t_far = data.draw(st.floats(g.t0 - 3 * g.dt, g.t_max + 3 * g.dt))
     for x in _edges(g.x0, g.x_max) + [x_far]:
         for t in _edges(g.t0, g.t_max) + [t_far]:
-            if not g.contains(x, t):
+            if g.contains(x, t):
+                pv_point(s, x, t, order)
+            else:
                 with pytest.raises(OutOfDomain) as exc:
                     pv_point(s, x, t, order)
                 assert type(exc.value) is OutOfDomain
-            elif s.one_sided:
-                pv_point(s, x, t, order)
-            else:
-                try:
-                    pv_point(s, x, t, order)
-                except StencilClipped:
-                    pass  # inside the grid, beyond the reach of a central stencil
 
 
 @given(
@@ -179,10 +159,10 @@ def test_sampled_seed_lies_on_the_attribute(data):
 
 
 def test_seed_root_inside_a_clipped_grid():
-    # the scan windows overhang a one_sided=False grid whose root x = 1 + sqrt(ln 2)
-    # lies inside the support
+    # the scan windows overhang the grid edge x = 2; the root x = 1 + sqrt(ln 2)
+    # lies inside
     g = Grid1x1(-2.0, 0.02, 201, 0.0, 0.02, 201)
-    s = sample(Translational(1.0), g, one_sided=False)
+    s = sample(Translational(1.0), g)
     x0, t0 = find_seed(s, 0, 0.5, near=(1.9, 1.0))
     assert abs(x0 - 1.8326) < 1e-3
     _assert_seed_on_attribute(s, 0, 0.5, (1.9, 1.0), xtol=1e-3 * g.dx)
