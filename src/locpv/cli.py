@@ -171,6 +171,8 @@ def parse_initial(text):
     center = vals[0]
     width = vals[1] if len(vals) > 1 else 1.0
     amp = vals[2] if len(vals) > 2 else 1.0
+    if width == 0:
+        raise UsageError(f"initial width must be nonzero in {text!r}")
     return lambda x: amp * np.exp(-(((x - center) / width) ** 2))
 
 

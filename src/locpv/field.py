@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import ast
 import io
+import operator
 from dataclasses import dataclass, field as dc_field
 from math import factorial
 
@@ -278,81 +279,87 @@ class CustomField(AnalyticField):
 
     Grammar: numbers, names x/t/pi/e, + - * / ** and unary minus, parentheses,
     calls to sin, cos, exp, atan/arctan, log, sqrt.  Evaluated under jet
-    arithmetic, so all derivatives are machine precision.
+    arithmetic, so all derivatives are machine precision.  The expression is
+    checked and compiled into nested closures once, at construction.
     """
 
     def __init__(self, expression: str):
         self.expression = expression
-        tree = ast.parse(expression, mode="eval")
-        self._validate(tree.body)
-        self._tree = tree.body
+        self._fn = _compile(ast.parse(expression, mode="eval").body)
 
     def __repr__(self):
         return f"CustomField({self.expression!r})"
 
-    @classmethod
-    def _validate(cls, node):
-        if isinstance(node, ast.BinOp) and isinstance(
-            node.op, (ast.Add, ast.Sub, ast.Mult, ast.Div, ast.Pow)
-        ):
-            cls._validate(node.left)
-            cls._validate(node.right)
-            if isinstance(node.op, ast.Pow) and any(
-                isinstance(n, ast.Name) and n.id in ("x", "t") for n in ast.walk(node.right)
-            ):
-                raise ValueError("exponent must not depend on x or t")
-        elif isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.USub, ast.UAdd)):
-            cls._validate(node.operand)
-        elif isinstance(node, ast.Call):
-            if not (isinstance(node.func, ast.Name) and node.func.id in _CUSTOM_FUNCS):
-                raise ValueError(f"unknown function in expression: {ast.dump(node.func)}")
-            if len(node.args) != 1 or node.keywords:
-                raise ValueError("expression functions take exactly one argument")
-            cls._validate(node.args[0])
-        elif isinstance(node, ast.Name):
-            if node.id not in ("x", "t") and node.id not in _CUSTOM_CONSTS:
-                raise ValueError(f"unknown name in expression: {node.id}")
-        elif isinstance(node, ast.Constant):
-            if not isinstance(node.value, (int, float)):
-                raise ValueError("only numeric constants allowed")
-        else:
-            raise ValueError(f"unsupported syntax: {type(node).__name__}")
-
     def expr(self, xs, ts):
-        env = {"x": xs, "t": ts}
-
-        def ev(node):
-            if isinstance(node, ast.BinOp):
-                a, b = ev(node.left), ev(node.right)
-                if isinstance(node.op, ast.Add):
-                    return a + b
-                if isinstance(node.op, ast.Sub):
-                    return a - b
-                if isinstance(node.op, ast.Mult):
-                    return a * b
-                if isinstance(node.op, ast.Div):
-                    if not isinstance(b, Taylor2) and b == 0:
-                        raise ValueError("division by a constant zero in expression")
-                    return a / b
-                # the exponent b is constant (checked by _validate)
-                return t2_pow(a, b) if isinstance(a, Taylor2) else np.power(a, b)
-            if isinstance(node, ast.UnaryOp):
-                v = ev(node.operand)
-                return -v if isinstance(node.op, ast.USub) else v
-            if isinstance(node, ast.Call):
-                a, fn = ev(node.args[0]), _CUSTOM_FUNCS[node.func.id]
-                # a constant argument gives a constant: the value of an order-0 jet
-                return fn(a) if isinstance(a, Taylor2) else fn(Taylor2.constant(a, 0)).value
-            if isinstance(node, ast.Name):
-                if node.id in env:
-                    return env[node.id]
-                return _CUSTOM_CONSTS[node.id]
-            return float(node.value)
-
-        out = ev(self._tree)
+        out = self._fn(xs, ts)
         if not isinstance(out, Taylor2):
             out = Taylor2.constant(out, xs.order, xs.coef.shape[2:])
         return out
+
+
+_CUSTOM_BINOPS = {ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul}
+
+
+def _compile(node):
+    """Check one node of a custom expression; returns f(xs, ts) evaluating it
+    (a Taylor2 where it depends on x or t, else a constant)."""
+    if isinstance(node, ast.BinOp) and isinstance(
+        node.op, (ast.Add, ast.Sub, ast.Mult, ast.Div, ast.Pow)
+    ):
+        left, right = _compile(node.left), _compile(node.right)
+        if isinstance(node.op, ast.Div):
+
+            def divide(xs, ts):
+                a, b = left(xs, ts), right(xs, ts)
+                if not isinstance(b, Taylor2) and b == 0:
+                    raise ValueError("division by a constant zero in expression")
+                return a / b
+
+            return divide
+        if isinstance(node.op, ast.Pow):
+            if any(isinstance(n, ast.Name) and n.id in ("x", "t") for n in ast.walk(node.right)):
+                raise ValueError("exponent must not depend on x or t")
+
+            def power(xs, ts):
+                a, b = left(xs, ts), right(xs, ts)
+                return t2_pow(a, b) if isinstance(a, Taylor2) else np.power(a, b)
+
+            return power
+        op = _CUSTOM_BINOPS[type(node.op)]
+        return lambda xs, ts: op(left(xs, ts), right(xs, ts))
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.USub, ast.UAdd)):
+        operand = _compile(node.operand)
+        if isinstance(node.op, ast.UAdd):
+            return operand
+        return lambda xs, ts: -operand(xs, ts)
+    if isinstance(node, ast.Call):
+        if not (isinstance(node.func, ast.Name) and node.func.id in _CUSTOM_FUNCS):
+            raise ValueError(f"unknown function in expression: {ast.dump(node.func)}")
+        if len(node.args) != 1 or node.keywords:
+            raise ValueError("expression functions take exactly one argument")
+        arg, fn = _compile(node.args[0]), _CUSTOM_FUNCS[node.func.id]
+
+        def call(xs, ts):
+            a = arg(xs, ts)
+            # a constant argument gives a constant: the value of an order-0 jet
+            return fn(a) if isinstance(a, Taylor2) else fn(Taylor2.constant(a, 0)).value
+
+        return call
+    if isinstance(node, ast.Name):
+        if node.id == "x":
+            return lambda xs, ts: xs
+        if node.id == "t":
+            return lambda xs, ts: ts
+        if node.id not in _CUSTOM_CONSTS:
+            raise ValueError(f"unknown name in expression: {node.id}")
+        value = _CUSTOM_CONSTS[node.id]
+        return lambda xs, ts: value
+    if isinstance(node, ast.Constant):
+        if not isinstance(node.value, (int, float)):
+            raise ValueError("only numeric constants allowed")
+        value = float(node.value)
+        return lambda xs, ts: value
+    raise ValueError(f"unsupported syntax: {type(node).__name__}")
 
 
 # ---------------------------------------------------------------------------

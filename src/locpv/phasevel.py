@@ -92,7 +92,13 @@ def _deriv_arrays(field, grid, order):
 
 
 def pv_field(field, grid: Grid1x1, order: int, eps_den=None) -> PhaseVelocityField:
-    """Map pv_point over a grid, recording poles and clipped stencils in the mask."""
+    """The phase velocity of the given order at every node of grid.
+
+    The mask is False where the velocity is undefined: at a pole (|den| below
+    eps_den, by default EPS_DEN_REL times the largest finite |den| on the
+    grid) and where a derivative is not finite, which for a sampled field
+    includes every node outside its samples.
+    """
     if order < 0 or order > field.nmax:
         raise OrderTooHigh(f"field supports phase velocities up to order {field.nmax}")
     num, den = _deriv_arrays(field, grid, order)

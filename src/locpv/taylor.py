@@ -8,10 +8,21 @@ symbolic algebra involved.
 
 Coefficients may be plain floats or numpy arrays of identical shape, in which
 case the whole jet is evaluated at a batch of expansion points at once.
+
+The product is the Cauchy product, run as one loop over a table of terms laid
+out once per order (Griewank & Walther, *Evaluating Derivatives*, ch. 13).
+Each output coefficient starts from +0.0 and adds its terms in a fixed order,
+so it rounds the same way on every path.  An unbatched product runs the loop
+on Python floats, whose products and sums are the IEEE operations numpy
+would do, without numpy's per-element overhead; a batched one runs it over
+the rows of the coefficient arrays.  A coefficient of the left factor that
+is zero (at every point of a batch) adds no terms, so 0 * inf or 0 * nan
+never enters a sum.
 """
 
 from __future__ import annotations
 
+from functools import cache
 from math import factorial
 
 import numpy as np
@@ -29,8 +40,34 @@ __all__ = [
 ]
 
 
-def _batch_shape(*arrays):
-    return np.broadcast_shapes(*(np.shape(a) for a in arrays))
+@cache
+def _product_terms(m):
+    """The terms of a product of order-m jets, per output coefficient.
+
+    Coefficients are indexed flat, i = p*(m+1) + q.  Each entry is (k, terms):
+    output k gets a[i]*b[j] for each (i, j) in terms, added in ascending
+    (p, q) of the a factor.  That order fixes the rounding of every sum.
+    """
+    w = m + 1
+    terms = {}
+    for p1 in range(w):
+        for q1 in range(w - p1):
+            for p2 in range(w - p1 - q1):
+                for q2 in range(w - p1 - q1 - p2):
+                    k = (p1 + p2) * w + q1 + q2
+                    terms.setdefault(k, []).append((p1 * w + q1, p2 * w + q2))
+    return tuple((k, tuple(t)) for k, t in terms.items())
+
+
+@cache
+def _factorial_table(m):
+    """F[p, q] = p! q! for p + q <= m, else 1."""
+    f = np.ones((m + 1, m + 1))
+    for p in range(m + 1):
+        for q in range(m + 1 - p):
+            f[p, q] = factorial(p) * factorial(q)
+    f.flags.writeable = False  # one table serves every caller
+    return f
 
 
 class Taylor2:
@@ -46,7 +83,9 @@ class Taylor2:
 
     @classmethod
     def constant(cls, value, order, batch_shape=()):
-        shape = _batch_shape(value, np.zeros(batch_shape))
+        shape = np.shape(value)
+        if batch_shape:
+            shape = np.broadcast_shapes(shape, batch_shape)
         coef = np.zeros((order + 1, order + 1) + shape)
         coef[0, 0] = value
         return cls(coef)
@@ -54,7 +93,9 @@ class Taylor2:
     @classmethod
     def variables(cls, x, t, order):
         """Jets of the coordinate functions x and t at the point (x, t)."""
-        shape = _batch_shape(x, t)
+        shape = ()
+        if np.ndim(x) or np.ndim(t):
+            shape = np.broadcast_shapes(np.shape(x), np.shape(t))
         cx = np.zeros((order + 1, order + 1) + shape)
         ct = np.zeros((order + 1, order + 1) + shape)
         cx[0, 0] = x
@@ -70,20 +111,10 @@ class Taylor2:
     def value(self):
         return self.coef[0, 0]
 
-    def deriv(self, p, q):
-        """Mixed partial d^{p+q} f / dt^p dx^q at the expansion point."""
-        if p + q > self.order:
-            raise ValueError(f"derivative order {p}+{q} exceeds jet order {self.order}")
-        return self.coef[p, q] * (factorial(p) * factorial(q))
-
     def deriv_table(self):
         """Array D with D[p, q] = d^{p+q} f / dt^p dx^q (entries p+q<=order)."""
-        m = self.order
-        out = np.array(self.coef, copy=True)
-        for p in range(m + 1):
-            for q in range(m + 1 - p):
-                out[p, q] *= factorial(p) * factorial(q)
-        return out
+        f = _factorial_table(self.order)
+        return self.coef * f.reshape(f.shape + (1,) * (self.coef.ndim - 2))
 
     # -- ring operations ----------------------------------------------------
 
@@ -128,18 +159,25 @@ class Taylor2:
             raise ValueError("mixed jet orders")
         m = self.order
         a, b = self.coef, other.coef
-        out = np.zeros(
-            (m + 1, m + 1) + np.broadcast_shapes(a.shape[2:], b.shape[2:])
-        )
-        for p1 in range(m + 1):
-            for q1 in range(m + 1 - p1):
-                apq = a[p1, q1]
-                if np.all(apq == 0.0):
-                    continue
-                for p2 in range(m + 1 - p1 - q1):
-                    for q2 in range(m + 1 - p1 - q1 - p2):
-                        out[p1 + p2, q1 + q2] += apq * b[p2, q2]
-        return Taylor2(out)
+        n = (m + 1) * (m + 1)
+        # nz[i]: whether a[i] enters the sums (a zero adds nothing, even
+        # where b is inf or nan)
+        if a.ndim == b.ndim == 2:
+            af, bf = a.ravel().tolist(), b.ravel().tolist()
+            nz = [v != 0.0 for v in af]
+            batch, out = (), [0.0] * n
+        else:
+            af, bf = list(a.reshape((n,) + a.shape[2:])), list(b.reshape((n,) + b.shape[2:]))
+            nz = (a != 0.0).reshape(n, -1).any(-1).tolist()
+            batch = np.broadcast_shapes(a.shape[2:], b.shape[2:])
+            out = np.zeros((n,) + batch)
+        for k, terms in _product_terms(m):
+            s = out[k]
+            for i, j in terms:
+                if nz[i]:
+                    s += af[i] * bf[j]
+            out[k] = s
+        return Taylor2(np.asarray(out).reshape((m + 1, m + 1) + batch))
 
     def __rmul__(self, other):
         return self * other
@@ -166,9 +204,12 @@ def t2_compose(u, series_fn):
     c = series_fn(u.value, m)
     uhat = Taylor2(np.array(u.coef, copy=True))
     uhat.coef[0, 0] = 0.0
-    out = Taylor2.constant(c[m], m, np.shape(c[m]))
+    out = Taylor2.constant(c[m], m)
     for k in range(m - 1, -1, -1):
-        out = out * uhat + Taylor2.constant(c[k], m, np.shape(c[k]))
+        out = out * uhat
+        # the other coefficients are sums from +0.0, never -0.0, so adding
+        # the +0.0 of a constant jet to them would change no bit
+        out.coef[0, 0] += c[k]
     return out
 
 

@@ -20,6 +20,7 @@ from .errors import (
     OutOfDomain,
     SeedOffAttribute,
     SingularSeed,
+    StencilClipped,
 )
 from .field import SampledField
 from .phasevel import pv_from_jet
@@ -123,6 +124,7 @@ def find_seed(field, order, target, near):
     sampled ones), then refines it by bisection to 1e-10 of that half-width
     (1e-3 dx on sampled fields).  Scan points where the field raises
     OutOfDomain are skipped; if every scan point does, that error is raised.
+    StencilClipped (no point of the grid has the derivative) is raised at once.
     """
     x_near, t0 = near
     if isinstance(field, SampledField):
@@ -136,6 +138,8 @@ def find_seed(field, order, target, near):
     def f(x):
         try:
             return _probe(field, x, t0, order)[0] - target
+        except StencilClipped:
+            raise
         except OutOfDomain as exc:
             misses.append(exc)
             return np.nan

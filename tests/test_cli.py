@@ -25,6 +25,18 @@ def run_cli(argv):
     return main(argv)
 
 
+def run_child(argv):
+    """Run the CLI in a child interpreter that imports the same locpv as this
+    process, installed or not."""
+    src = str(Path(locpv.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "locpv.cli", *argv],
+        capture_output=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+
+
 class TestGrammars:
     def test_grid_grammar(self):
         g = parse_grid("0,0.01,200x0,0.01,200")
@@ -134,15 +146,17 @@ class TestExitCodes:
         assert capsys.readouterr().err.splitlines() == ["error: StencilClipped"]
 
     def test_unknown_flag_exits_2(self):
-        # the child imports the same locpv as this process, installed or not
-        src = str(Path(locpv.__file__).resolve().parents[1])
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        proc = subprocess.run(
-            [sys.executable, "-m", "locpv.cli", "pv", "--frobnicate"],
-            capture_output=True,
-            env={**os.environ, "PYTHONPATH": path},
+        assert run_child(["pv", "--frobnicate"]).returncode == 2
+
+    def test_zero_width_initial_prints_one_error_line(self, tmp_path):
+        # in a child, so that numpy warnings would reach its stderr
+        proc = run_child(
+            ["simulate", "--grid=-5,0.025,400x0,0.02,400", "--initial", "gauss:-2.5,0",
+             "--out", str(tmp_path / "o.csv")]
         )
         assert proc.returncode == 2
+        err = proc.stderr.decode().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: UsageError: ")
 
 
 class TestCommands:

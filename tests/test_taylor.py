@@ -1,9 +1,23 @@
-"""Jet arithmetic against closed-form and numerical derivatives."""
+"""Jet arithmetic against closed-form and numerical derivatives, and the
+product and custom-expression engines against their reference loops."""
+
+import ast
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from locpv.field import CustomField, Harmonic, Translational, envelope_derivs
+from locpv.field import (
+    CustomField,
+    DampedTranslational,
+    Harmonic,
+    InhomogeneousMode,
+    KinkDamped,
+    Translational,
+    envelope_derivs,
+)
+from locpv.media import ConstantIndex, LinearIndex, TabulatedIndex, TanhRampIndex
 from locpv.taylor import (
     Taylor2,
     atan_series,
@@ -11,6 +25,13 @@ from locpv.taylor import (
     log_series,
     pow_series,
     sin_series,
+    t2_atan,
+    t2_cos,
+    t2_exp,
+    t2_log,
+    t2_pow,
+    t2_sin,
+    t2_sqrt,
 )
 
 
@@ -99,7 +120,7 @@ def test_taylor_division_and_pow():
     assert u.value == pytest.approx((1 + 0.5 * 0.25) / 1.5)
     v = (xs ** 3) * (xs ** -2)
     assert v.value == pytest.approx(0.5)
-    assert v.deriv(0, 1) == pytest.approx(1.0, abs=1e-12)
+    assert v.deriv_table()[0, 1] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_batch_matches_scalar():
@@ -112,3 +133,164 @@ def test_batch_matches_scalar():
         for p in range(3):
             for q in range(3 - p):
                 assert batch[p, q, i] == pytest.approx(single.table[p, q], abs=1e-14)
+
+
+# -- the product and custom-expression engines ------------------------------
+
+
+def assert_same_bits(a, b):
+    """Equal bit for bit, except that any nan matches any nan: CPython and
+    numpy each pick the sign and payload of a nan sum in their own way."""
+    a, b = np.asarray(a, float), np.asarray(b, float)
+    assert a.shape == b.shape
+    nan = np.isnan(a)
+    np.testing.assert_array_equal(nan, np.isnan(b))
+    np.testing.assert_array_equal(a[~nan].view(np.uint64), b[~nan].view(np.uint64))
+
+
+def quadruple_loop_product(a, b):
+    """The jet product as one loop over both factors' coefficients."""
+    m = a.shape[0] - 1
+    out = np.zeros((m + 1, m + 1) + np.broadcast_shapes(a.shape[2:], b.shape[2:]))
+    for p1 in range(m + 1):
+        for q1 in range(m + 1 - p1):
+            apq = a[p1, q1]
+            if np.all(apq == 0.0):
+                continue
+            for p2 in range(m + 1 - p1 - q1):
+                for q2 in range(m + 1 - p1 - q1 - p2):
+                    out[p1 + p2, q1 + q2] += apq * b[p2, q2]
+    return out
+
+
+_SPECIAL = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 1e-300, 1e300])
+
+
+def _operand(rng, shape):
+    c = rng.normal(size=shape)
+    hit = rng.random(shape) < 0.3
+    c[hit] = rng.choice(_SPECIAL, size=hit.sum())
+    return c
+
+
+@pytest.mark.parametrize("m", range(6))
+def test_product_matches_the_quadruple_loop(m):
+    rng = np.random.default_rng(m)
+    w = (m + 1, m + 1)
+    with np.errstate(all="ignore"):
+        for _ in range(40):
+            a, b = _operand(rng, w), _operand(rng, w)
+            ab, bb = _operand(rng, w + (3,)), _operand(rng, w + (2, 1))
+            ab[m, 0] = 0.0  # a coefficient that is zero at every point
+            for x, y in [(a, b), (ab, b), (a, ab), (ab, ab[..., ::-1]), (ab, bb)]:
+                assert_same_bits((Taylor2(x) * Taylor2(y)).coef, quadruple_loop_product(x, y))
+
+
+@pytest.mark.parametrize("m", range(1, 6))
+@pytest.mark.parametrize(
+    "fn", [t2_log, t2_sqrt, lambda u: t2_pow(u, -1.5)], ids=["log", "sqrt", "pow"]
+)
+@pytest.mark.parametrize("batch", [(), (3,)])
+def test_a_zero_coefficient_adds_nothing(m, fn, batch):
+    # at x = 0 the dx coefficients of fn(x) are infinite, so 0 * them would be
+    # nan; t - 0.5 has one nonzero coefficient, that of dt
+    xs, ts = Taylor2.variables(np.zeros(batch), np.full(batch, 0.5), m)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        f = fn(xs)
+    assert not np.isfinite(f.coef[0, 1:]).any()
+    prod = (ts - 0.5) * f
+    np.testing.assert_array_equal(prod.coef[0], 0.0)
+    for p in range(1, m + 1):
+        for q in range(m + 1 - p):
+            assert_same_bits(prod.coef[p, q], f.coef[p - 1, q])
+
+
+_MEDIA = [
+    ConstantIndex(1.5),
+    LinearIndex(1.0, 0.1),
+    TanhRampIndex(1.0, 0.5, center=0.3, width=0.8),
+    TabulatedIndex(np.linspace(-5, 5, 21), 1.0 + 0.3 / (1 + np.linspace(-5, 5, 21) ** 2)),
+]
+FAMILIES = [
+    Harmonic(3.0, 1.5),
+    *(Translational(1.3, env) for env in ("gauss", "arctan", "sin", "exp")),
+    DampedTranslational(-0.7, 0.2),
+    DampedTranslational(1.0, -0.1, "arctan"),
+    KinkDamped(1.0, 0.3),
+    *(InhomogeneousMode(2.0, medium) for medium in _MEDIA),
+    # not / ** sqrt log: numpy's power rounds differently on scalars and arrays
+    CustomField("exp(-x*x) * cos(3*t - x) - atan(t) * sin(x*t)"),
+]
+
+
+@settings(max_examples=300)
+@given(
+    st.sampled_from(FAMILIES),
+    st.integers(0, 5),
+    st.lists(st.tuples(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0)), min_size=1, max_size=6),
+)
+def test_batched_jets_equal_scalar_jets_bitwise(fld, order, points):
+    xs, ts = (np.array(v) for v in zip(*points))
+    table = fld.jet_batch(xs, ts, order)
+    for k, (x, t) in enumerate(points):
+        assert_same_bits(table[..., k], fld.jet(x, t, order).table)
+
+
+def tree_walk(expression, xs, ts):
+    """A custom expression evaluated by walking its syntax tree."""
+    funcs = {"sin": t2_sin, "cos": t2_cos, "exp": t2_exp, "atan": t2_atan, "arctan": t2_atan,
+             "log": t2_log, "sqrt": t2_sqrt}
+    env = {"x": xs, "t": ts}
+
+    def ev(node):
+        if isinstance(node, ast.BinOp):
+            a, b = ev(node.left), ev(node.right)
+            if isinstance(node.op, ast.Add):
+                return a + b
+            if isinstance(node.op, ast.Sub):
+                return a - b
+            if isinstance(node.op, ast.Mult):
+                return a * b
+            if isinstance(node.op, ast.Div):
+                if not isinstance(b, Taylor2) and b == 0:
+                    raise ValueError("division by a constant zero in expression")
+                return a / b
+            return t2_pow(a, b) if isinstance(a, Taylor2) else np.power(a, b)
+        if isinstance(node, ast.UnaryOp):
+            v = ev(node.operand)
+            return -v if isinstance(node.op, ast.USub) else v
+        if isinstance(node, ast.Call):
+            a, fn = ev(node.args[0]), funcs[node.func.id]
+            return fn(a) if isinstance(a, Taylor2) else fn(Taylor2.constant(a, 0)).value
+        if isinstance(node, ast.Name):
+            return env[node.id] if node.id in env else {"pi": np.pi, "e": np.e}[node.id]
+        return float(node.value)
+
+    out = ev(ast.parse(expression, mode="eval").body)
+    if not isinstance(out, Taylor2):
+        out = Taylor2.constant(out, xs.order, xs.coef.shape[2:])
+    return out
+
+
+@pytest.mark.parametrize(
+    "expression",
+    [
+        "sin(3*t - 1.5*x)",
+        "1 + 0*x + 0*t",
+        "sin((6 + 0.3*(t - x)) * (t - x))",
+        "exp(1)*sin(t-x)",
+        "2**3*x",
+        "-e * +pi",
+        "exp(-x*x) * cos(3*t - x) + (2 + atan(t))**2 / (2 + sin(x*t))",
+        "sqrt(x*x + 1) * log(2 + t*t) - (x*x + 1)**1.5 * 2**-1.5 + arctan(x/3)",
+    ],
+)
+def test_compiled_custom_field_matches_the_tree_walk(expression):
+    fld = CustomField(expression)
+    pts = np.array([[0.3, -0.2], [-1.7, 0.9], [0.0, 0.0], [2.5, 1.5]])
+    for order in range(6):
+        for x, t in pts:
+            ref = tree_walk(expression, *Taylor2.variables(x, t, order))
+            assert_same_bits(fld.jet(x, t, order).table, ref.deriv_table())
+        ref = tree_walk(expression, *Taylor2.variables(pts[:, 0], pts[:, 1], order))
+        assert_same_bits(fld.jet_batch(pts[:, 0], pts[:, 1], order), ref.deriv_table())

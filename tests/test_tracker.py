@@ -16,6 +16,7 @@ from locpv.field import (
     DampedTranslational,
     Grid1x1,
     KinkDamped,
+    SampledField,
     Translational,
     sample,
 )
@@ -73,6 +74,21 @@ class TestFindSeed:
         two_rows = Grid1x1(-2.0, 0.02, 201, 0.0, 0.02, 2)
         with pytest.raises(StencilClipped):
             find_seed(sample(Translational(1.0), two_rows), 0, 0.5, near=(0.8, 0.0))
+
+    def test_stencil_clipped_stops_the_scan_at_once(self, monkeypatch):
+        # no point of a 2-row grid has the t-stencil, so one jet tells
+        fld = sample(Translational(1.0), Grid1x1(-2.0, 0.02, 201, 0.0, 0.02, 2))
+        calls = []
+        jet = SampledField.jet
+
+        def counted(self, *args):
+            calls.append(args)
+            return jet(self, *args)
+
+        monkeypatch.setattr(SampledField, "jet", counted)
+        with pytest.raises(StencilClipped):
+            find_seed(fld, 0, 0.5, near=(0.8, 0.0))
+        assert 1 <= len(calls) <= 2
 
 
 class TestTrack:
