@@ -9,7 +9,6 @@ either a grid CSV (--in) or an inline analytic spec (--analytic, grammar
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from dataclasses import dataclass
@@ -113,7 +112,7 @@ def parse_analytic(text):
         if family == "kink":
             return KinkDamped(a=params.get("a", 1.0), lam=params.get("lambda", 0.0))
         return Harmonic(omega=params.get("omega", 1.0), k=params.get("k", 1.0))
-    except (ValueError, KeyError) as exc:
+    except ValueError as exc:
         raise UsageError(str(exc)) from exc
 
 

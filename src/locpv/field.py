@@ -3,8 +3,8 @@
 Two kinds of field are supported: closed-form analytic families evaluated by
 jet (truncated-Taylor) arithmetic, and uniformly sampled grids differentiated
 by central finite-difference stencils with bicubic interpolation for off-grid
-queries.  Both expose the same ``eval`` / ``jet`` surface so the analysis
-modules do not care which one they are handed.
+queries.  Both answer ``eval``, ``jet`` and ``jet_batch`` (nan outside the
+domain, where ``jet`` raises OutOfDomain), so analysis code takes either kind.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from __future__ import annotations
 import ast
 import io
 import operator
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from math import factorial
 
 import numpy as np
@@ -158,18 +158,14 @@ class AnalyticField:
         raise NotImplementedError
 
     def eval(self, x, t):
-        xs, ts = Taylor2.variables(np.asarray(x, float), np.asarray(t, float), 0)
-        out = self.expr(xs, ts).value
+        out = self.jet_batch(x, t, 0)[0, 0]
         return out if np.ndim(out) else float(out)
 
     def jet(self, x, t, order) -> Jet:
-        if not 0 <= order <= self.nmax + 1:
-            raise OrderTooHigh(f"analytic fields support jets of order 0..{self.nmax + 1}")
-        xs, ts = Taylor2.variables(float(x), float(t), order)
-        return Jet(float(x), float(t), order, self.expr(xs, ts).deriv_table())
+        return Jet(float(x), float(t), order, self.jet_batch(x, t, order))
 
     def jet_batch(self, x, t, order):
-        """Vectorized deriv_table over broadcast arrays of points."""
+        """Jet tables, shape (order+1, order+1, *batch), at broadcast points."""
         if not 0 <= order <= self.nmax + 1:
             raise OrderTooHigh(f"analytic fields support jets of order 0..{self.nmax + 1}")
         xs, ts = Taylor2.variables(np.asarray(x, float), np.asarray(t, float), order)
@@ -192,6 +188,11 @@ def _check_a(a):
         raise ValueError("propagation constant a must be nonzero")
 
 
+def _check_envelope(envelope):
+    if envelope not in ENVELOPES:
+        raise ValueError(f"unknown envelope {envelope!r}; one of {', '.join(ENVELOPES)}")
+
+
 @dataclass(frozen=True)
 class Translational(AnalyticField):
     """Rigidly moving profile psi(t - x/a)."""
@@ -201,6 +202,7 @@ class Translational(AnalyticField):
 
     def __post_init__(self):
         _check_a(self.a)
+        _check_envelope(self.envelope)
 
     def expr(self, xs, ts):
         return ENVELOPES[self.envelope](ts - xs * (1.0 / self.a))
@@ -216,6 +218,7 @@ class DampedTranslational(AnalyticField):
 
     def __post_init__(self):
         _check_a(self.a)
+        _check_envelope(self.envelope)
 
     def expr(self, xs, ts):
         phi = ts - xs * (1.0 / self.a)
@@ -252,6 +255,7 @@ class InhomogeneousMode(AnalyticField):
     def __post_init__(self):
         if self.xi == 0:
             raise ValueError("xi must be nonzero")
+        _check_envelope(self.envelope)
 
     def expr(self, xs, ts):
         n = self.medium.taylor2(xs)
@@ -480,31 +484,41 @@ class SampledField:
 
     # -- queries -------------------------------------------------------------
 
-    def _at(self, x, t, p, q):
-        """Spline value of the (p, q) derivative at one point of the grid."""
-        if not self.grid.contains(x, t):
-            raise OutOfDomain(f"point ({x}, {t}) outside the sampling grid")
-        return self._spline(p, q)(t, x)[0, 0]
-
     def eval(self, x, t):
-        return float(self._at(float(x), float(t), 0, 0))
+        return float(self.jet(x, t, 0).value)
 
     def jet(self, x, t, order) -> Jet:
+        # at one point, direct spline calls beat jet_batch's array path
         if not 0 <= order <= self.nmax + 1:
             raise OrderTooHigh(f"sampled fields support jets of order 0..{self.nmax + 1}")
         x, t = float(x), float(t)
+        if not self.grid.contains(x, t):
+            raise OutOfDomain(f"point ({x}, {t}) outside the sampling grid")
         table = np.zeros((order + 1, order + 1))
         for p in range(order + 1):
             for q in range(order + 1 - p):
-                table[p, q] = self._at(x, t, p, q)
+                table[p, q] = self._spline(p, q)(t, x)[0, 0]
         return Jet(x, t, order, table)
+
+    def jet_batch(self, x, t, order):
+        """The tables of ``jet`` at broadcast points, as from an analytic field;
+        nan at points outside the grid, and StencilClipped only if one is inside."""
+        if not 0 <= order <= self.nmax + 1:
+            raise OrderTooHigh(f"sampled fields support jets of order 0..{self.nmax + 1}")
+        x, t = np.broadcast_arrays(np.asarray(x, float), np.asarray(t, float))
+        inside = self.grid.contains(x, t)
+        table = np.full((order + 1, order + 1) + x.shape, np.nan)
+        if inside.any():
+            table[:, :, inside] = 0.0
+            for p in range(order + 1):
+                for q in range(order + 1 - p):
+                    table[p, q, inside] = self._spline(p, q)(t[inside], x[inside], grid=False)
+        return table
 
 
 def sample(field: AnalyticField, grid: Grid1x1) -> SampledField:
     """Evaluate an analytic field exactly on every grid node."""
-    tt, xx = np.meshgrid(grid.ts, grid.xs, indexing="ij")
-    xs, ts = Taylor2.variables(xx, tt, 0)
-    return SampledField(grid, field.expr(xs, ts).value)
+    return SampledField(grid, field.eval(grid.xs, grid.ts[:, None]))
 
 
 # ---------------------------------------------------------------------------

@@ -86,8 +86,7 @@ def _deriv_arrays(field, grid, order):
     """(num, den) arrays of the two mixed partials over the grid."""
     if isinstance(field, SampledField):
         return field.derivatives_on(grid, 1, order), field.derivatives_on(grid, 0, order + 1)
-    tt, xx = np.meshgrid(grid.ts, grid.xs, indexing="ij")
-    table = field.jet_batch(xx, tt, order + 1)
+    table = field.jet_batch(grid.xs, grid.ts[:, None], order + 1)
     return table[1, order], table[0, order + 1]
 
 

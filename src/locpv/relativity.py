@@ -160,7 +160,6 @@ def subluminality_audit(add_rule, grid_resolution, c=1.0) -> AuditReport:
     if grid_resolution < 2:
         raise ValueError("grid_resolution must be >= 2")
     pts = np.linspace(-c, c, grid_resolution + 2)[1:-1]
-    vv, VV = np.meshgrid(pts, pts, indexing="ij")
     max_ratio = 0.0
     violations = []
     for i in range(grid_resolution):

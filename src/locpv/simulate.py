@@ -8,7 +8,7 @@ but guarded against runaway amplitudes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np

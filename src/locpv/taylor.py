@@ -252,18 +252,19 @@ def atan_series(u0, m):
 
 
 def log_series(u0, m):
+    # np.power rounds scalars as arrays; ** on a numpy scalar calls libm pow
     c = [np.log(u0)]
     for k in range(1, m + 1):
-        c.append(((-1.0) ** (k + 1)) / (k * u0 ** k))
+        c.append(((-1.0) ** (k + 1)) / (k * np.power(u0, k)))
     return c
 
 
 def pow_series(p, u0, m):
-    # generalized binomial: c_k = C(p, k) * u0^(p-k)
+    # generalized binomial: c_k = C(p, k) * u0^(p-k); 0 where C(p, k) = 0, even at u0 = 0
     c = []
     binom = 1.0
     for k in range(m + 1):
-        c.append(binom * u0 ** (p - k))
+        c.append(binom * np.power(u0, p - k) if binom != 0.0 else 0.0)
         binom = binom * (p - k) / (k + 1)
     return c
 

@@ -20,7 +20,6 @@ from .errors import (
     OutOfDomain,
     SeedOffAttribute,
     SingularSeed,
-    StencilClipped,
 )
 from .field import SampledField
 from .phasevel import pv_from_jet
@@ -122,9 +121,9 @@ def find_seed(field, order, target, near):
     Searches for a sign change around near[0] (expanding geometrically up to
     a half-width of SEED_BRACKET for analytic fields / the grid width for
     sampled ones), then refines it by bisection to 1e-10 of that half-width
-    (1e-3 dx on sampled fields).  Scan points where the field raises
-    OutOfDomain are skipped; if every scan point does, that error is raised.
-    StencilClipped (no point of the grid has the derivative) is raised at once.
+    (1e-3 dx on sampled fields).  Each scan width is one ``jet_batch`` call;
+    its nan entries (outside the domain) never bracket.  If no scan value is
+    finite, the field's error at the first scan point is raised.
     """
     x_near, t0 = near
     if isinstance(field, SampledField):
@@ -133,25 +132,14 @@ def find_seed(field, order, target, near):
     else:
         bracket, xtol = SEED_BRACKET, 1e-10 * SEED_BRACKET
 
-    misses = []  # OutOfDomain errors of the scan points outside the domain
-
-    def f(x):
-        try:
-            return _probe(field, x, t0, order)[0] - target
-        except StencilClipped:
-            raise
-        except OutOfDomain as exc:
-            misses.append(exc)
-            return np.nan
-
     # expanding scan for a sign change; nan (outside) pairs never qualify
     lo = hi = None
-    scanned = 0
+    finite = False
     w = bracket / 64.0
     while w <= bracket + 1e-300:
         xs = np.linspace(x_near - w, x_near + w, 65)
-        vals = np.array([f(x) for x in xs])
-        scanned += xs.size
+        vals = field.jet_batch(xs, t0, order + 1)[0, order] - target
+        finite = finite or bool(np.isfinite(vals).any())
         sign_flip = np.nonzero(vals[:-1] * vals[1:] <= 0)[0]
         hit = [k for k in sign_flip if vals[k] != 0 or vals[k + 1] != 0]
         if hit:
@@ -160,8 +148,8 @@ def find_seed(field, order, target, near):
             break
         w *= 2.0
     if lo is None:
-        if len(misses) == scanned:
-            raise misses[0]
+        if not finite:
+            _probe(field, x_near - bracket / 64.0, t0, order)  # the field's error
         raise NoBracket(
             f"no sign change of order-{order} derivative minus {target} near x={x_near}"
         )
@@ -171,7 +159,7 @@ def find_seed(field, order, target, near):
         return hi, t0
     while hi - lo > xtol:
         mid = 0.5 * (lo + hi)
-        fm = f(mid)
+        fm = _probe(field, mid, t0, order)[0] - target
         if fm == 0.0:
             return mid, t0
         if flo * fm < 0:

@@ -123,9 +123,13 @@ class TestExitCodes:
              "--out", "OUT"],
             ["pv", "--analytic", "custom:1/0*x", "--order", "0",
              "--grid", "0,0.1,10x0,0.1,10", "--out", "OUT"],
+            ["pv", "--analytic", "trans:foo,a=1", "--order", "0",
+             "--grid=-2,0.01,40x0,0.01,20", "--out", "OUT"],
+            ["track", "--analytic", "damped:lorentz", "--order", "0", "--level", "0.5",
+             "--seed-near", "1,0", "--t-end", "1", "--out", "OUT"],
         ],
         ids=["t-end", "step", "frame-speed", "light-speed", "resolution", "initial",
-             "zero-division"],
+             "zero-division", "envelope", "damped-envelope"],
     )
     def test_invalid_value_is_usage_error(self, argv, tmp_path, capsys):
         argv = [str(tmp_path / "o.csv") if a == "OUT" else a for a in argv]

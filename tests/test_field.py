@@ -150,6 +150,18 @@ class TestFiniteDifferences:
         with pytest.raises(OutOfDomain) as info:
             two_rows.jet(1.0, 0.5, 1)
         assert type(info.value) is OutOfDomain
+        # a batch raises StencilClipped only if a point is inside, as jet does
+        with pytest.raises(StencilClipped):
+            two_rows.jet_batch([5.0, 1.0], 0.05, 1)
+        assert np.isnan(two_rows.jet_batch([5.0, -1.0], 0.05, 1)).all()
+
+    def test_jet_batch_broadcasts(self):
+        s = sample(Translational(1.0), Grid1x1(0.0, 0.1, 21, 0.0, 0.1, 21))
+        table = s.jet_batch(np.array([0.5, 3.0]), np.array([[0.2], [0.4], [0.6]]), 2)
+        assert table.shape == (3, 3, 3, 2)
+        np.testing.assert_array_equal(table[..., 1, 0], s.jet(0.5, 0.4, 2).table)
+        assert np.isnan(table[..., 1]).all()
+        np.testing.assert_array_equal(s.jet_batch(0.5, 0.4, 2), s.jet(0.5, 0.4, 2).table)
 
     def test_stencil_clipped_is_out_of_domain(self):
         # a derivative whose stencil does not fit the grid has no domain at all

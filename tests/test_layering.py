@@ -1,4 +1,5 @@
-"""Layering: no locpv module reaches into another module's private names."""
+"""Layering: no locpv module reaches into another module's private names, and
+every module uses each name it imports."""
 
 import ast
 from pathlib import Path
@@ -127,3 +128,59 @@ def test_checker_finds_private_reaches(source, reach):
 )
 def test_checker_allows_public_and_own_names(source):
     assert private_reaches(source, "phasevel", DEFINED) == []
+
+
+def unused_imports(source):
+    """(line, name) of each name the module imports and never reads; a name
+    listed in ``__all__`` counts as read (a re-export)."""
+    tree = ast.parse(source)
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported += [(node.lineno, a.asname or a.name.split(".")[0]) for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported += [(node.lineno, a.asname or a.name) for a in node.names]
+    read = {n.id for n in ast.walk(tree)
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            read |= {elt.value for elt in node.value.elts}
+    return [(line, name) for line, name in imported if name not in read]
+
+
+# the package's __init__ imports only to re-export
+@pytest.mark.parametrize("module", [m for m in MODULES if m != "__init__"])
+def test_every_import_is_used(module):
+    assert unused_imports((PACKAGE / f"{module}.py").read_text()) == []
+
+
+@pytest.mark.parametrize(
+    "source, unused",
+    [
+        ("import json", ["json"]),
+        ("import os.path", ["os"]),
+        ("from dataclasses import dataclass, field as dc_field\n@dataclass\nclass A: pass",
+         ["dc_field"]),
+        ("from .field import Grid1x1\n__all__ = ['Jet']", ["Grid1x1"]),
+    ],
+    ids=["module", "dotted", "alias", "not-exported"],
+)
+def test_import_checker_finds_unused_names(source, unused):
+    assert [name for _, name in unused_imports(source)] == unused
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        "from __future__ import annotations",
+        "import numpy as np\nnp.zeros",
+        "import os.path\nos.path.join",
+        "from .field import Grid1x1\n__all__ = ['Grid1x1']",
+        "from .field import Grid1x1\ndef f(g: Grid1x1): pass",
+    ],
+    ids=["future", "attribute", "dotted", "re-export", "annotation"],
+)
+def test_import_checker_allows_used_names(source):
+    assert unused_imports(source) == []

@@ -1,5 +1,5 @@
-"""Property tests: the sampled domain, the point-query domain, CSV round trips,
-seeds on their attribute."""
+"""Property tests: the sampled domain, the point-query domain, batched sampled
+jets, CSV round trips, seeds on their attribute."""
 
 import numpy as np
 import pytest
@@ -89,6 +89,28 @@ def test_pv_point_out_of_domain_exactly_outside_the_grid(data):
                 with pytest.raises(OutOfDomain) as exc:
                     pv_point(s, x, t, order)
                 assert type(exc.value) is OutOfDomain
+
+
+@given(st.data())
+def test_sampled_jet_batch_is_the_scalar_jet_inside_and_nan_outside(data):
+    s = data.draw(sampled_fields())
+    g = s.grid
+    order = data.draw(st.integers(0, 3))
+    far = st.tuples(st.floats(g.x0 - 3 * g.dx, g.x_max + 3 * g.dx),
+                    st.floats(g.t0 - 3 * g.dt, g.t_max + 3 * g.dt))
+    points = [(x, t) for x in _edges(g.x0, g.x_max) for t in _edges(g.t0, g.t_max)]
+    points += data.draw(st.lists(far, min_size=1, max_size=20))
+    xs, ts = (np.array(v) for v in zip(*points))
+    table = s.jet_batch(xs, ts, order)
+    assert table.shape == (order + 1, order + 1, len(points))
+    for k, (x, t) in enumerate(points):
+        if g.contains(x, t):
+            expected = s.jet(x, t, order).table
+            assert np.array_equal(table[..., k].view(np.uint64), expected.view(np.uint64))
+        else:
+            assert np.isnan(table[..., k]).all()
+            with pytest.raises(OutOfDomain):
+                s.jet(x, t, order)
 
 
 @given(

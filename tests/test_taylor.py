@@ -218,8 +218,11 @@ FAMILIES = [
     DampedTranslational(1.0, -0.1, "arctan"),
     KinkDamped(1.0, 0.3),
     *(InhomogeneousMode(2.0, medium) for medium in _MEDIA),
-    # not / ** sqrt log: numpy's power rounds differently on scalars and arrays
     CustomField("exp(-x*x) * cos(3*t - x) - atan(t) * sin(x*t)"),
+    CustomField("(2 + atan(t))**2 / (2 + sin(x*t))"),
+    CustomField("sqrt(x*x + 1) * log(2 + t*t)"),
+    CustomField("(x*x + 1)**1.5 * 2**-1.5 + x / (1.5 + cos(x - t))**0.5"),
+    CustomField("t**2 * x**3"),
 ]
 
 
@@ -234,6 +237,18 @@ def test_batched_jets_equal_scalar_jets_bitwise(fld, order, points):
     table = fld.jet_batch(xs, ts, order)
     for k, (x, t) in enumerate(points):
         assert_same_bits(table[..., k], fld.jet(x, t, order).table)
+
+
+@pytest.mark.parametrize("t", [0.0, -0.0, 0.3, -1.2])
+def test_integer_power_is_finite_at_zero(t):
+    # C(2, k) = 0 for k > 2: those terms are 0, not 0 * 0**(2 - k) = 0 * inf
+    power, product = CustomField("t**2"), CustomField("t*t")
+    for order in range(6):
+        table = power.jet(0.3, t, order).table
+        assert np.isfinite(table).all()
+        assert_same_bits(table, product.jet(0.3, t, order).table)
+        assert_same_bits(power.jet_batch([0.3, 1.0], t, order),
+                         product.jet_batch([0.3, 1.0], t, order))
 
 
 def tree_walk(expression, xs, ts):

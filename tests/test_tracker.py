@@ -22,6 +22,7 @@ from locpv.field import (
 )
 from locpv.phasevel import pv_point
 from locpv.tracker import (
+    SEED_BRACKET,
     Attribute,
     Termination,
     TrackedTrajectory,
@@ -76,19 +77,131 @@ class TestFindSeed:
             find_seed(sample(Translational(1.0), two_rows), 0, 0.5, near=(0.8, 0.0))
 
     def test_stencil_clipped_stops_the_scan_at_once(self, monkeypatch):
-        # no point of a 2-row grid has the t-stencil, so one jet tells
+        # no point of a 2-row grid has the t-stencil, so the first scan
+        # width's one batched jet tells
         fld = sample(Translational(1.0), Grid1x1(-2.0, 0.02, 201, 0.0, 0.02, 2))
         calls = []
-        jet = SampledField.jet
+        for name in ("jet", "jet_batch"):
+            method = getattr(SampledField, name)
 
-        def counted(self, *args):
-            calls.append(args)
-            return jet(self, *args)
+            def counted(self, *args, name=name, method=method):
+                calls.append(name)
+                return method(self, *args)
 
-        monkeypatch.setattr(SampledField, "jet", counted)
+            monkeypatch.setattr(SampledField, name, counted)
         with pytest.raises(StencilClipped):
             find_seed(fld, 0, 0.5, near=(0.8, 0.0))
-        assert 1 <= len(calls) <= 2
+        assert calls == ["jet_batch"]
+
+
+def _reference_find_seed(field, order, target, near):
+    """find_seed with a scan of scalar jets, one per point: a point whose jet
+    raises OutOfDomain is skipped, and if every one does, the first error is
+    raised."""
+    x_near, t0 = near
+    if isinstance(field, SampledField):
+        g = field.grid
+        bracket, xtol = g.x_max - g.x0, 1e-3 * g.dx
+    else:
+        bracket, xtol = SEED_BRACKET, 1e-10 * SEED_BRACKET
+    misses = []
+
+    def f(x):
+        try:
+            return field.jet(x, t0, order + 1).deriv(0, order) - target
+        except StencilClipped:
+            raise
+        except OutOfDomain as exc:
+            misses.append(exc)
+            return np.nan
+
+    lo = hi = None
+    scanned = 0
+    w = bracket / 64.0
+    while w <= bracket + 1e-300:
+        xs = np.linspace(x_near - w, x_near + w, 65)
+        vals = np.array([f(x) for x in xs])
+        scanned += xs.size
+        sign_flip = np.nonzero(vals[:-1] * vals[1:] <= 0)[0]
+        hit = [k for k in sign_flip if vals[k] != 0 or vals[k + 1] != 0]
+        if hit:
+            k = min(hit, key=lambda k: abs(0.5 * (xs[k] + xs[k + 1]) - x_near))
+            (lo, hi), (flo, fhi) = xs[k : k + 2], vals[k : k + 2]
+            break
+        w *= 2.0
+    if lo is None:
+        if len(misses) == scanned:
+            raise misses[0]
+        raise NoBracket(
+            f"no sign change of order-{order} derivative minus {target} near x={x_near}"
+        )
+    if flo == 0.0:
+        return lo, t0
+    if fhi == 0.0:
+        return hi, t0
+    while hi - lo > xtol:
+        mid = 0.5 * (lo + hi)
+        fm = f(mid)
+        if fm == 0.0:
+            return mid, t0
+        if flo * fm < 0:
+            hi = mid
+        else:
+            lo, flo = mid, fm
+    return 0.5 * (lo + hi), t0
+
+
+def _outcome(fn, *args):
+    """A call's result, or the type and message of its error."""
+    try:
+        return fn(*args)
+    except Exception as exc:  # the error is the outcome compared
+        return type(exc), str(exc)
+
+
+_PULSE_GRID = Grid1x1(-2.0, 0.02, 201, 0.0, 0.02, 201)
+_TRANS_ZERO = Translational(1.0)
+_SCAN = np.linspace(0.9 - SEED_BRACKET / 64, 0.9 + SEED_BRACKET / 64, 65)
+
+# (label, field, order, target, near)
+_SEED_CASES = [
+    (f"{name}.o{order}.{target}", fld, order, target, (near, t0))
+    for name, fld in [
+        ("trans", Translational(1.2)),
+        ("sin", Translational(-0.8, "sin")),
+        ("damped", DampedTranslational(0.9, 0.1)),
+        ("kink", KinkDamped(1.1, 0.1)),
+    ]
+    for order in range(3)
+    for target, near, t0 in [(0.5, 0.6, 0.0), (-0.3, -0.4, 0.3), (0.0, 0.7, -0.2)]
+] + [
+    (f"sampled.o{order}.{near}", sample(DampedTranslational(1.0, 0.1), _PULSE_GRID),
+     order, target, (near, 1.0))
+    for order, target in [(0, 0.4), (1, 0.0), (2, 0.1)]
+    # the last two scans overhang the grid edge x = 2 or start outside it
+    for near in (-0.5, 1.9, 2.5)
+] + [
+    (f"exact-zero.{k}", _TRANS_ZERO, 0, _TRANS_ZERO.jet(_SCAN[k], 0.0, 1).value, (0.9, 0.0))
+    for k in (20, 40)
+] + [
+    ("no-point-inside", sample(Translational(1.0), _PULSE_GRID), 0, 0.5, (9.0, 1.0)),
+    ("two-rows", sample(Translational(1.0), Grid1x1(-2.0, 0.02, 201, 0.0, 0.02, 2)),
+     0, 0.5, (0.8, 0.0)),
+    ("no-bracket", Translational(1.0), 0, 2.0, (0.0, 0.0)),
+    ("no-bracket-sampled", sample(Translational(1.0), _PULSE_GRID), 0, 2.0, (0.0, 0.5)),
+]
+
+
+class TestSeedReference:
+    @pytest.mark.parametrize(
+        "label, fld, order, target, near", _SEED_CASES, ids=[c[0] for c in _SEED_CASES]
+    )
+    def test_same_seed_or_error_as_the_scalar_scan(self, label, fld, order, target, near):
+        got = _outcome(find_seed, fld, order, target, near)
+        assert got == _outcome(_reference_find_seed, fld, order, target, near)
+        if label in ("no-point-inside", "two-rows", "no-bracket"):
+            assert got[0] is {"no-point-inside": OutOfDomain, "two-rows": StencilClipped,
+                              "no-bracket": NoBracket}[label]
 
 
 class TestTrack:
