@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,17 +34,11 @@ from .relativity import BoostFrame, add_v0, add_vI_freewave, subluminality_audit
 from .simulate import SimSpec, run as sim_run
 from .tracker import Attribute, find_seed, track
 
-__all__ = ["RunConfig", "parse_args", "run_command", "main"]
+__all__ = ["parse_args", "main"]
 
 
 class UsageError(Exception):
     pass
-
-
-@dataclass
-class RunConfig:
-    command: str
-    args: argparse.Namespace
 
 
 # ---------------------------------------------------------------------------
@@ -83,7 +76,7 @@ def parse_analytic(text):
             return CustomField(rest)
         except (ValueError, SyntaxError) as exc:
             raise UsageError(f"bad custom expression: {exc}") from exc
-    envelope = "gauss"
+    envelope = None
     params = {}
     for tok in rest.split(","):
         tok = tok.strip()
@@ -102,6 +95,9 @@ def parse_analytic(text):
     unknown = set(params) - _FAMILY_KEYS[family]
     if unknown:
         raise UsageError(f"unknown keys for {family}: {sorted(unknown)}")
+    if envelope is not None and family not in ("trans", "damped"):
+        raise UsageError(f"{family} takes no envelope, got {envelope!r}")
+    envelope = envelope or "gauss"
     try:
         if family == "trans":
             return Translational(a=params.get("a", 1.0), envelope=envelope)
@@ -241,7 +237,7 @@ def build_parser():
     return parser
 
 
-def parse_args(argv) -> RunConfig:
+def parse_args(argv) -> argparse.Namespace:
     args = build_parser().parse_args(argv)
     nmax = ANALYTIC_NMAX if getattr(args, "analytic", None) else SAMPLED_NMAX
     if getattr(args, "order", None) is not None and not 0 <= args.order <= nmax:
@@ -254,7 +250,7 @@ def parse_args(argv) -> RunConfig:
         _apply_config(args)
     if args.command == "simulate" and not args.grid:
         raise UsageError("simulate requires --grid (flag or config)")
-    return RunConfig(args.command, args)
+    return args
 
 
 def _apply_config(args):
@@ -397,13 +393,10 @@ _COMMANDS = {
 }
 
 
-def run_command(cfg: RunConfig) -> int:
-    return _COMMANDS[cfg.command](cfg.args)
-
-
 def main(argv=None) -> int:
     try:
-        return run_command(parse_args(argv))
+        args = parse_args(argv)
+        return _COMMANDS[args.command](args)
     except (UsageError, ValueError) as exc:  # every ValueError in locpv validates input
         print(f"error: UsageError: {exc}", file=sys.stderr)
         return 2

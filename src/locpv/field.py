@@ -135,12 +135,12 @@ ENVELOPES = {
 
 
 def envelope_derivs(envelope, phi, order):
-    """Derivatives d^k env / d phi^k, k = 0..order, at the scalar argument phi."""
-    fn = ENVELOPES[envelope] if isinstance(envelope, str) else envelope
+    """Derivatives d^k env / d phi^k, k = 0..order, of a named envelope at the scalar phi."""
+    _check_envelope(envelope)
     u = Taylor2.constant(phi, order, np.shape(phi))
     if order >= 1:
         u.coef[1, 0] = 1.0
-    jet = fn(u)
+    jet = ENVELOPES[envelope](u)
     return np.array([jet.coef[k, 0] * factorial(k) for k in range(order + 1)])
 
 

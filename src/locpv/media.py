@@ -24,7 +24,7 @@ from .errors import (
     PoleOnPath,
 )
 from .field import InhomogeneousMode
-from .phasevel import pv_point
+from .phasevel import is_pole, pv_point
 from .taylor import Taylor2, t2_compose
 
 __all__ = [
@@ -167,7 +167,7 @@ class ModeSpec:
 def v0_local(medium: MediumProfile, x):
     """c / (n'(x)*x + n(x)); independent of xi and of the envelope."""
     den = medium.n_prime(x) * x + medium.n(x)
-    if abs(den) < 1e-300:
+    if is_pole(medium.c, den):
         raise DegenerateDenominator("n'(x)*x + n(x) vanished")
     return medium.c / den
 
@@ -177,8 +177,9 @@ def transit_time(medium: MediumProfile, x0, x1):
     if x1 == x0:
         raise DegenerateInterval("x1 must differ from x0")
     probes = np.linspace(x0, x1, 257)
-    dens = np.array([medium.n_prime(x) * x + medium.n(x) for x in probes])
-    if np.any(np.abs(dens) < 1e-12) or np.any(np.sign(dens[:-1]) != np.sign(dens[1:])):
+    n, n_prime = medium.series(probes, 1)
+    dens = n_prime * probes + n
+    if np.any(is_pole(medium.c, dens)) or np.any(np.sign(dens[:-1]) != np.sign(dens[1:])):
         raise PoleOnPath("v0_local has a pole inside the interval")
     return (x1 * medium.n(x1) - x0 * medium.n(x0)) / medium.c
 
@@ -202,10 +203,10 @@ def _g_derivs(medium, x):
 def vI_local(mode: ModeSpec, x):
     """Printed local relation: c/v_I = (c/xi)*(xn)''/(xn)' - (xn)'."""
     gp, gpp = _g_derivs(mode.medium, x)
-    if abs(gp) < 1e-300:
+    if is_pole(gpp, gp):
         raise DegenerateDenominator("(x*n)' vanished")
     rhs = (mode.medium.c / mode.xi) * (gpp / gp) - gp
-    if abs(rhs) < 1e-300:
+    if is_pole(mode.medium.c, rhs):
         raise DegenerateDenominator("printed local relation right side vanished")
     return mode.medium.c / rhs
 
@@ -219,7 +220,7 @@ def vI_global(mode: ModeSpec, dx):
     if arg <= 0:
         raise NonpositiveLogArgument("log argument n'(dx)*dx + n(dx) not positive")
     rhs = m.n(dx) - (m.c / (mode.xi * dx)) * np.log(arg)
-    if abs(rhs) < 1e-300:
+    if is_pole(m.c, rhs):
         raise DegenerateDenominator("printed global relation right side vanished")
     return m.c / rhs
 
@@ -229,13 +230,15 @@ def vI_global(mode: ModeSpec, dx):
 # ---------------------------------------------------------------------------
 
 
-def vI_local_rederived(mode: ModeSpec, x, t=0.0):
+def vI_local_rederived(mode: ModeSpec, x):
     """First-order PV of the mode computed from its jet.
 
     Uses an exponential envelope, for which psi'/psi'' = 1 and the local
     first-order PV is independent of t, making the closed-form comparison
-    well posed.
+    well posed.  The jet is taken at t = n(x)*x/c, where the phase is 0, so
+    psi = 1 there and no derivative underflows however large xi*n*x/c is.
     """
+    t = mode.medium.n(x) * x / mode.medium.c
     v = pv_point(mode.field(envelope="exp"), x, t, order=1)
     if v is None:
         raise DegenerateDenominator("rederived first-order PV undefined")

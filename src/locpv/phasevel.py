@@ -25,7 +25,7 @@ from .field import (
 __all__ = [
     "PhaseVelocityField",
     "ClassicalDiagnostics",
-    "pole_eps",
+    "is_pole",
     "pv_point",
     "pv_from_jet",
     "pv_field",
@@ -37,6 +37,8 @@ __all__ = [
 # relative denominator tolerance; poles are flagged, never extrapolated over
 EPS_DEN_REL = 1e-9
 EPS_DEN_FLOOR = 1e-300
+# a ratio num/den is a pole where |den| < EPS_POLE_REL * |num|
+EPS_POLE_REL = 1e-12
 # minimum relative wavelength change across a stencil for the transport
 # velocity U to count as defined
 WAVELENGTH_GRAD_REL = 1e-4
@@ -51,8 +53,7 @@ class PhaseVelocityField:
     eps_den: float
 
     def save_csv(self, path):
-        out = np.where(self.mask, self.values, np.nan)
-        save_grid_csv(path, self.grid, out, field_name=f"v{self.order}")
+        save_grid_csv(path, self.grid, self.values, field_name=f"v{self.order}")
 
 
 @dataclass(frozen=True)
@@ -63,16 +64,17 @@ class ClassicalDiagnostics:
     omega_over_k: float | None
 
 
-def pole_eps(num, den):
-    """Pole threshold for one ratio num/den: |den| below it counts as a pole."""
-    return max(EPS_DEN_FLOOR, 1e-12 * max(abs(num), abs(den)))
+def is_pole(num, den):
+    """Whether num/den is a pole (elementwise): |den| below EPS_DEN_FLOOR or
+    EPS_POLE_REL * |num|. A non-pole ratio with a finite num has |ratio| <= 1e12."""
+    return (abs(den) < EPS_DEN_FLOOR) | (abs(den) < EPS_POLE_REL * abs(num))
 
 
 def pv_from_jet(jet, order):
     """Phase velocity of the given order from a precomputed jet, or None."""
     num = jet.deriv(1, order)
     den = jet.deriv(0, order + 1)
-    if abs(den) < pole_eps(num, den):
+    if is_pole(num, den):
         return None
     return -num / den
 
@@ -93,10 +95,10 @@ def _deriv_arrays(field, grid, order):
 def pv_field(field, grid: Grid1x1, order: int, eps_den=None) -> PhaseVelocityField:
     """The phase velocity of the given order at every node of grid.
 
-    The mask is False where the velocity is undefined: at a pole (|den| below
-    eps_den, by default EPS_DEN_REL times the largest finite |den| on the
-    grid) and where a derivative is not finite, which for a sampled field
-    includes every node outside its samples.
+    The mask is False where the velocity is undefined: at a pole (``is_pole``),
+    where |den| is below eps_den (by default EPS_DEN_REL times the largest
+    finite |den| on the grid) and where a derivative is not finite, which for
+    a sampled field includes every node outside its samples.
     """
     if order < 0 or order > field.nmax:
         raise OrderTooHigh(f"field supports phase velocities up to order {field.nmax}")
@@ -107,8 +109,9 @@ def pv_field(field, grid: Grid1x1, order: int, eps_den=None) -> PhaseVelocityFie
         eps_den = max(EPS_DEN_FLOOR, EPS_DEN_REL * scale)
     with np.errstate(invalid="ignore"):
         mask = np.isfinite(num) & np.isfinite(den) & (np.abs(den) >= eps_den)
+        mask &= ~is_pole(num, den)
     values = np.full(num.shape, np.nan)
-    values[mask] = -num[mask] / den[mask]
+    np.divide(-num, den, out=values, where=mask)
     return PhaseVelocityField(order, grid, values, mask, float(eps_den))
 
 
@@ -121,7 +124,7 @@ def damped_spectrum(a, lam, envelope, phi, order):
     """v_N = a*(1 - lam * env^(N)(phi) / env^(N+1)(phi)); None at a pole."""
     d = envelope_derivs(envelope, phi, order + 1)
     num, den = d[order], d[order + 1]
-    if abs(den) < pole_eps(num, den):
+    if is_pole(num, den):
         return None
     return a * (1.0 - lam * num / den)
 
@@ -130,9 +133,9 @@ def kink_spectrum(a, lam, phi):
     """(v0, vI, vII) for the damped arctan kink; None entries at the poles."""
     v0 = a * (1.0 + lam * (1.0 + phi * phi) * np.arctan(phi))
     num, den = lam * (1.0 + phi * phi), 2.0 * phi
-    vI = None if abs(den) < pole_eps(num, den) else a * (1.0 - num / den)
+    vI = None if is_pole(num, den) else a * (1.0 - num / den)
     num, den = lam * (phi ** 3 + phi), 3.0 * phi * phi - 1.0
-    vII = None if abs(den) < pole_eps(num, den) else a * (1.0 - num / den)
+    vII = None if is_pole(num, den) else a * (1.0 - num / den)
     return float(v0), vI, vII
 
 

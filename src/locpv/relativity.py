@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import DegenerateDenominator
 from .field import AnalyticField
-from .phasevel import pole_eps
+from .phasevel import is_pole
 
 __all__ = [
     "BoostFrame",
@@ -87,10 +87,11 @@ def boost_field(base: AnalyticField, frame: BoostFrame) -> BoostedField:
 
 def add_v0(frame: BoostFrame, v0):
     """Relativistic zero-order velocity addition, (v0 + V)/(1 + v0*V/c^2)."""
+    num = v0 + frame.V
     den = 1.0 + v0 * frame.V / frame.c ** 2
-    if np.any(np.abs(den) < 1e-300):
+    if np.any(is_pole(num, den)):
         raise DegenerateDenominator("1 + v0*V/c^2 vanished")
-    return (v0 + frame.V) / den
+    return num / den
 
 
 def add_vI_freewave(frame: BoostFrame, vI, sign_convention="as_printed"):
@@ -105,7 +106,7 @@ def add_vI_freewave(frame: BoostFrame, vI, sign_convention="as_printed"):
     b2 = (frame.V / frame.c) ** 2
     num = (1.0 + b2) * vI + 2.0 * frame.V
     den = (1.0 + b2) + 2.0 * frame.V * vI / frame.c ** 2
-    if np.any(np.abs(den) < 1e-300):
+    if np.any(is_pole(num, den)):
         raise DegenerateDenominator("first-order addition denominator vanished")
     out = num / den
     return -out if sign_convention == "as_printed" else out
@@ -117,7 +118,7 @@ def boost_vI_general(frame: BoostFrame, jet):
     v'_I = -[(1+V^2/c^2) psi_xt - V (psi_tt/c^2 + psi_xx)]
            / [(V^2/c^4) psi_tt + psi_xx - (2V/c^2) psi_xt]
 
-    Returns None at a pole: |den| below ``pole_eps(num, den)``.
+    Returns None at a pole (``is_pole(num, den)``).
     """
     V, c = frame.V, frame.c
     ptt = jet.deriv(2, 0)
@@ -125,7 +126,7 @@ def boost_vI_general(frame: BoostFrame, jet):
     pxt = jet.deriv(1, 1)
     num = (1.0 + (V / c) ** 2) * pxt - V * (ptt / c ** 2 + pxx)
     den = (V ** 2 / c ** 4) * ptt + pxx - (2.0 * V / c ** 2) * pxt
-    if abs(den) < pole_eps(num, den):
+    if is_pole(num, den):
         return None
     return -num / den
 

@@ -127,9 +127,15 @@ class TestExitCodes:
              "--grid=-2,0.01,40x0,0.01,20", "--out", "OUT"],
             ["track", "--analytic", "damped:lorentz", "--order", "0", "--level", "0.5",
              "--seed-near", "1,0", "--t-end", "1", "--out", "OUT"],
+            # kink and harmonic have no envelope to name
+            ["pv", "--analytic", "harmonic:foo,omega=3,k=1.5", "--order", "0",
+             "--grid=-2,0.01,40x0,0.01,20", "--out", "OUT"],
+            ["pv", "--analytic", "kink:lorentz,a=1,lambda=0.1", "--order", "0",
+             "--grid=-2,0.01,40x0,0.01,20", "--out", "OUT"],
         ],
         ids=["t-end", "step", "frame-speed", "light-speed", "resolution", "initial",
-             "zero-division", "envelope", "damped-envelope"],
+             "zero-division", "envelope", "damped-envelope", "harmonic-envelope",
+             "kink-envelope"],
     )
     def test_invalid_value_is_usage_error(self, argv, tmp_path, capsys):
         argv = [str(tmp_path / "o.csv") if a == "OUT" else a for a in argv]
@@ -164,6 +170,19 @@ class TestExitCodes:
 
 
 class TestCommands:
+    def test_pv_zero_eps_den_masks_the_poles(self, tmp_path):
+        # psi_x = 0 exactly on the diagonal x = t; in a child, so that numpy
+        # warnings would reach its stderr
+        out = tmp_path / "v.csv"
+        proc = run_child(
+            ["pv", "--analytic", "damped:gauss,a=1,lambda=0.1", "--order", "0",
+             "--grid=0,0.01,4x0,0.01,3", "--eps-den", "0", "--out", str(out)]
+        )
+        assert (proc.returncode, proc.stderr) == (0, b"")
+        _, values, _ = load_grid_csv(out)
+        assert np.isnan(np.diagonal(values)).all()
+        assert np.isfinite(values[~np.eye(3, 4, dtype=bool)]).all()
+
     def test_pv_analytic_writes_field_csv(self, tmp_path):
         out = tmp_path / "v0.csv"
         code = run_cli(

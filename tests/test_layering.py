@@ -1,5 +1,6 @@
-"""Layering: no locpv module reaches into another module's private names, and
-every module uses each name it imports."""
+"""Layering: no locpv module reaches into another module's private names,
+every module uses each name it imports, and the velocity modules decide poles
+only through ``phasevel.is_pole``."""
 
 import ast
 from pathlib import Path
@@ -184,3 +185,46 @@ def test_import_checker_finds_unused_names(source, unused):
 )
 def test_import_checker_allows_used_names(source):
     assert unused_imports(source) == []
+
+
+def literal_thresholds(source):
+    """(line, value) of each nonzero float literal of magnitude below 1e-6 in a
+    comparison: a tolerance written in place, where a pole test belongs to
+    ``is_pole``. An exact test against 0.0 is not a tolerance."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Compare):
+            for operand in [node.left, *node.comparators]:
+                found += [(c.lineno, c.value) for c in ast.walk(operand)
+                          if isinstance(c, ast.Constant) and isinstance(c.value, float)
+                          and 0.0 < abs(c.value) < 1e-6]
+    return found
+
+
+@pytest.mark.parametrize("module", ["phasevel", "media", "relativity"])
+def test_velocity_modules_have_no_literal_pole_thresholds(module):
+    assert literal_thresholds((PACKAGE / f"{module}.py").read_text()) == []
+
+
+@pytest.mark.parametrize(
+    "source, values",
+    [
+        ("abs(den) < 1e-300", [1e-300]),
+        ("np.any(np.abs(dens) < 1e-12)", [1e-12]),
+        ("if x > -1e-9 * y: pass", [1e-9]),
+        ("a < b < 2.5e-7 + c", [2.5e-7]),
+    ],
+    ids=["absolute", "call", "scaled", "chained"],
+)
+def test_threshold_checker_finds_literals(source, values):
+    assert [v for _, v in literal_thresholds(source)] == values
+
+
+@pytest.mark.parametrize(
+    "source",
+    ["row == 0.0", "ratio > 1.0 + SUBLUMINAL_TOL", "abs(den) < EPS_DEN_FLOOR",
+     "EPS_DEN_FLOOR = 1e-300", "x < 1e-3"],
+    ids=["exact-zero", "named-slack", "named-floor", "assignment", "large"],
+)
+def test_threshold_checker_allows_named_and_exact_values(source):
+    assert literal_thresholds(source) == []

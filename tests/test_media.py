@@ -76,6 +76,11 @@ class TestZeroOrder:
         with pytest.raises(DegenerateDenominator):
             v0_local(LinearIndex(1.0, -0.5), 1.0)
 
+    def test_v0_local_near_pole(self):
+        # |n'x + n| ~ 1e-15 is below 1e-12 * c
+        with pytest.raises(DegenerateDenominator):
+            v0_local(LinearIndex(1.0, -0.5), 1.0 + 1e-15)
+
     def test_transit_time_linear_example(self):
         assert transit_time(LinearIndex(1.0, 0.1), 0.0, 2.0) == pytest.approx(2.4, abs=1e-12)
 
@@ -168,6 +173,15 @@ class TestRederivation:
             assert vI_local(mode, x) == pytest.approx(
                 -vI_local_rederived(mode, x), abs=1e-10
             )
+
+    @pytest.mark.parametrize("xi", [300.0, 400.0, 1000.0])
+    def test_local_rederived_does_not_underflow(self, xi):
+        # at t = 0 the jet of exp(-xi*n*x/c) underflows for xi*n(x)*x/c > ~690
+        mode = ModeSpec(xi, LinearIndex(1.0, 0.1))
+        for x in (0.5, 1.0, 2.0):
+            assert vI_local_rederived(mode, x) == pytest.approx(-vI_local(mode, x), abs=1e-12)
+        (row,) = dynamic_separation(mode.medium, 2.0, [xi])
+        assert row.vI_rederived == pytest.approx(row.vI_global, rel=1e-9)
 
     def test_global_printed_matches_rederived(self):
         mode = ModeSpec(10.0, LinearIndex(1.0, 0.1))

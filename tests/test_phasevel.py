@@ -16,8 +16,8 @@ from locpv.field import (
 from locpv.phasevel import (
     classical_diagnostics,
     damped_spectrum,
+    is_pole,
     kink_spectrum,
-    pole_eps,
     pv_field,
     pv_point,
 )
@@ -115,11 +115,37 @@ class TestPvField:
                 if v is not None:
                     assert v == pytest.approx(pvf.values[j, i], rel=1e-12, abs=1e-12)
 
+    def test_sweep_masks_the_point_poles(self):
+        # den = 1e-13 * exp(t) is below 1e-12 * |num| at every node, and
+        # above the default grid floor
+        fld = CustomField("exp(t)*(1 + 1e-13*x)")
+        g = Grid1x1(-1.0, 0.1, 21, 0.0, 0.1, 11)
+        assert not pv_field(fld, g, 0).mask.any()
+        assert pv_point(fld, g.xs[3], g.ts[2], 0) is None
+
     def test_amplified_pulse_backward_propagation(self):
         # gain (lam < 0) makes v0 on the leading ascending flank negative
         g = Grid1x1(-0.9, 0.01, 80, 0.0, 0.01, 5)
         pvf = pv_field(DampedTranslational(1.0, -2.0), g, 0)
         assert np.nanmin(pvf.values[pvf.mask]) < 0.0
+
+
+class TestIsPole:
+    EDGES = [0.0, -0.0, 1e-320, 1e-300, -1e-300, 1e-12, 1.0, -3.0, 1e12, 1e300,
+             np.inf, -np.inf, np.nan, 5e-324]
+
+    def test_arrays_equal_scalars(self):
+        num, den = np.meshgrid(self.EDGES, self.EDGES)
+        scalar = [[is_pole(float(n), float(d)) for n, d in zip(rn, rd)]
+                  for rn, rd in zip(num, den)]
+        assert np.array_equal(is_pole(num, den), scalar)
+
+    def test_non_poles_have_bounded_ratios(self):
+        num, den = np.meshgrid(self.EDGES, self.EDGES)
+        ok = ~is_pole(num, den) & np.isfinite(num) & np.isfinite(den)
+        assert np.all(np.abs(num[ok] / den[ok]) <= 1e12)
+        assert is_pole(1.0, 0.0) and is_pole(0.0, 0.0) and is_pole(np.inf, 1.0)
+        assert not is_pole(np.nan, 1.0) and not is_pole(1.0, np.nan)
 
 
 class TestSpectra:
@@ -141,14 +167,19 @@ class TestSpectra:
         for v in kink_spectrum(1.0, 0.0, 0.7):
             assert v == pytest.approx(1.0)
 
-    def test_kink_poles_use_pole_eps(self):
+    def test_kink_poles_use_is_pole(self):
         pole = 1.0 / np.sqrt(3.0)
         assert kink_spectrum(1.0, 0.2, pole)[2] is None
         assert kink_spectrum(1.0, 0.2, 1e-14)[1] is None  # |2 phi| < 1e-12 * 0.2
         assert kink_spectrum(1.0, 0.2, 1e-12)[1] is not None
         assert kink_spectrum(1.0, 0.2, pole + 1e-9)[2] is not None
-        assert pole_eps(0.0, 0.0) == 1e-300
-        assert pole_eps(-3.0, 2.0) == pytest.approx(3e-12)
+        # the floor 1e-300, then 1e-12 * |num|
+        assert is_pole(0.0, np.nextafter(1e-300, 0.0)) and not is_pole(0.0, 1e-300)
+        assert is_pole(-3.0, 2.99e-12) and not is_pole(-3.0, 3.01e-12)
+
+    def test_unknown_envelope_is_a_value_error(self):
+        with pytest.raises(ValueError, match="unknown envelope"):
+            damped_spectrum(1.0, 0.1, "lorentz", 0.0, 1)
 
     def test_pv_point_agrees_with_damped_spectrum(self):
         rng = np.random.default_rng(42)

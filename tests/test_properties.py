@@ -1,5 +1,5 @@
 """Property tests: the sampled domain, the point-query domain, batched sampled
-jets, CSV round trips, seeds on their attribute."""
+jets, CSV round trips, seeds on their attribute, point poles in sweeps."""
 
 import numpy as np
 import pytest
@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from locpv.errors import NoBracket, OutOfDomain
 from locpv.field import (
+    CustomField,
     DampedTranslational,
     Grid1x1,
     Harmonic,
@@ -188,3 +189,35 @@ def test_seed_root_inside_a_clipped_grid():
     x0, t0 = find_seed(s, 0, 0.5, near=(1.9, 1.0))
     assert abs(x0 - 1.8326) < 1e-3
     _assert_seed_on_attribute(s, 0, 0.5, (1.9, 1.0), xtol=1e-3 * g.dx)
+
+
+@st.composite
+def analytic_sweeps(draw):
+    """An analytic field, an order 0..4 and a small grid. The grid often has a
+    node at x = 0 or t = 0, where the pulses have exact poles. The custom
+    field exp(t + eps*x) has v_N = -1/eps at every order and node, a pole for
+    eps below about 1e-12 that the default grid floor does not mask."""
+    custom = st.floats(-16.0, -8.0).map(lambda e: CustomField(f"exp(t + {10.0 ** e!r}*x)"))
+    field = draw(st.one_of(st.sampled_from(ANALYTIC), custom))
+    axes = []
+    for _ in range(2):
+        step = draw(st.floats(0.05, 0.5))
+        n = draw(st.integers(2, 4))
+        # start = -step * i puts the node i at exactly 0
+        start = draw(st.one_of(st.floats(-1.0, 1.0),
+                               st.integers(0, n - 1).map(lambda i, h=step: -(h * i))))
+        axes += [start, step, n]
+    return field, draw(st.integers(0, 4)), Grid1x1(*axes)
+
+
+@given(analytic_sweeps())
+def test_sweep_masks_every_point_pole_and_keeps_point_values(sweep):
+    field, order, g = sweep
+    pvf = pv_field(field, g, order)
+    for j, t in enumerate(g.ts):
+        for i, x in enumerate(g.xs):
+            v = pv_point(field, x, t, order)
+            if v is None:
+                assert not pvf.mask[j, i]
+            elif pvf.mask[j, i]:
+                assert np.float64(v).view(np.uint64) == pvf.values[j, i].view(np.uint64)

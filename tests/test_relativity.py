@@ -77,6 +77,11 @@ class TestAddV0:
             # v0 may exceed c (it is not a signal velocity); v0*V = -c^2
             add_v0(BoostFrame(0.5), -2.0)
 
+    def test_near_pole_denominator(self):
+        with pytest.raises(DegenerateDenominator):
+            # |1 + v0*V| ~ 5e-16 is below 1e-12 * |v0 + V|
+            add_v0(BoostFrame(0.5), -2.0 + 1e-15)
+
 
 class TestAddVIFreewave:
     def test_zero_boost_flips_sign_as_printed(self):
