@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from math import factorial
 
 import numpy as np
-from scipy.interpolate import RectBivariateSpline
 
 from .errors import OrderTooHigh, OutOfDomain, StencilClipped
 from .taylor import (
@@ -467,6 +466,10 @@ class SampledField:
         under 4 nodes)."""
         key = (p, q)
         if key not in self._splines:
+            # scipy.interpolate takes most of a second to import; only spline
+            # queries pay for it
+            from scipy.interpolate import RectBivariateSpline
+
             g = self.grid
             kx, ky = min(3, g.nt - 1), min(3, g.nx - 1)
             self._splines[key] = RectBivariateSpline(

@@ -14,8 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.interpolate import PchipInterpolator
 
 from .errors import (
     DegenerateDenominator,
@@ -129,6 +127,8 @@ class TabulatedIndex(MediumProfile):
     """Monotone cubic (PCHIP) interpolation of tabulated (x, n) samples."""
 
     def __init__(self, xs, ns, c=1.0):
+        from scipy.interpolate import PchipInterpolator
+
         super().__init__(c)
         xs = np.asarray(xs, float)
         ns = np.asarray(ns, float)
@@ -247,6 +247,8 @@ def vI_local_rederived(mode: ModeSpec, x):
 
 def vI_global_rederived(mode: ModeSpec, dx):
     """Global first-order velocity by quadrature of the rederived local PV."""
+    from scipy.integrate import quad
+
     if dx == 0:
         raise DegenerateInterval("dx must be nonzero")
     dt, _ = quad(lambda x: 1.0 / vI_local_rederived(mode, x), 0.0, dx, limit=200)
@@ -297,6 +299,8 @@ def dynamic_separation(medium: MediumProfile, dx, xi_list):
         raise ValueError("xi_list must be nonempty")
     if any(xi == 0 for xi in xi_list):
         raise ValueError("xi values must be nonzero")
+    if not all(np.isfinite([dx, *xi_list])):
+        raise ValueError("dx and the xi values must be finite")
     rows = []
     for xi in xi_list:
         mode = ModeSpec(xi, medium)

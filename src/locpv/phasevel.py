@@ -102,6 +102,8 @@ def pv_field(field, grid: Grid1x1, order: int, eps_den=None) -> PhaseVelocityFie
     """
     if order < 0 or order > field.nmax:
         raise OrderTooHigh(f"field supports phase velocities up to order {field.nmax}")
+    if eps_den is not None and not 0 <= eps_den < np.inf:
+        raise ValueError("eps_den must be finite and >= 0")
     num, den = _deriv_arrays(field, grid, order)
     if eps_den is None:
         finite = np.abs(den[np.isfinite(den)])

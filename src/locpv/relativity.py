@@ -48,7 +48,7 @@ class BoostFrame:
     def __post_init__(self):
         if not self.c > 0:
             raise ValueError("light speed must be positive")
-        if abs(self.V) >= self.c:
+        if not abs(self.V) < self.c:
             raise ValueError("frame speed must satisfy |V| < c")
 
     @property
@@ -87,6 +87,8 @@ def boost_field(base: AnalyticField, frame: BoostFrame) -> BoostedField:
 
 def add_v0(frame: BoostFrame, v0):
     """Relativistic zero-order velocity addition, (v0 + V)/(1 + v0*V/c^2)."""
+    if not np.all(np.isfinite(v0)):
+        raise ValueError("v0 must be finite")
     num = v0 + frame.V
     den = 1.0 + v0 * frame.V / frame.c ** 2
     if np.any(is_pole(num, den)):
@@ -103,6 +105,8 @@ def add_vI_freewave(frame: BoostFrame, vI, sign_convention="as_printed"):
     """
     if sign_convention not in ("as_printed", "continuous"):
         raise ValueError("sign_convention must be 'as_printed' or 'continuous'")
+    if not np.all(np.isfinite(vI)):
+        raise ValueError("vI must be finite")
     b2 = (frame.V / frame.c) ** 2
     num = (1.0 + b2) * vI + 2.0 * frame.V
     den = (1.0 + b2) + 2.0 * frame.V * vI / frame.c ** 2

@@ -183,8 +183,9 @@ def track(
             step = min(field.grid.dt, (t_end - attr.t0) / 1000.0)
         else:
             step = (t_end - attr.t0) / 1e4
-    if step <= 0 or t_end <= attr.t0:
-        raise ValueError("need step > 0 and t_end > t0")
+    # written so that a nan fails every comparison
+    if not (0 < step < np.inf and attr.t0 < t_end < np.inf):
+        raise ValueError("need a finite step > 0 and a finite t_end > t0")
     if seed_tol is None:
         # sampled seeds are only located to ~1e-3*dx, so allow matching slack
         rel = 1e-3 if isinstance(field, SampledField) else 1e-6

@@ -25,16 +25,21 @@ def run_cli(argv):
     return main(argv)
 
 
-def run_child(argv):
-    """Run the CLI in a child interpreter that imports the same locpv as this
-    process, installed or not."""
+def run_python(*args):
+    """Run a child interpreter that imports the same locpv as this process,
+    installed or not."""
     src = str(Path(locpv.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     return subprocess.run(
-        [sys.executable, "-m", "locpv.cli", *argv],
+        [sys.executable, *args],
         capture_output=True,
         env={**os.environ, "PYTHONPATH": path},
     )
+
+
+def run_child(argv):
+    """Run the CLI in a child interpreter."""
+    return run_python("-m", "locpv.cli", *argv)
 
 
 class TestGrammars:
@@ -132,10 +137,24 @@ class TestExitCodes:
              "--grid=-2,0.01,40x0,0.01,20", "--out", "OUT"],
             ["pv", "--analytic", "kink:lorentz,a=1,lambda=0.1", "--order", "0",
              "--grid=-2,0.01,40x0,0.01,20", "--out", "OUT"],
+            # non-finite values fail every comparison a range check makes
+            ["track", "--analytic", "trans:gauss,a=1", "--order", "0", "--level", "0.5",
+             "--seed-near", "1,0", "--t-end", "nan", "--out", "OUT"],
+            ["track", "--analytic", "trans:gauss,a=1", "--order", "0", "--level", "0.5",
+             "--seed-near", "1,0", "--t-end", "1", "--step", "nan", "--out", "OUT"],
+            ["pv", "--analytic", "trans:gauss,a=1", "--order", "0",
+             "--grid", "0,0.1,10x0,0.1,10", "--eps-den", "nan", "--out", "OUT"],
+            ["medium", "--n", "linear:1,0.1", "--dx", "nan", "--xi", "1", "--out", "OUT"],
+            ["medium", "--n", "linear:1,0.1", "--dx", "inf", "--xi", "1", "--out", "OUT"],
+            ["medium", "--n", "linear:1,0.1", "--dx", "2", "--xi", "1,inf", "--out", "OUT"],
+            ["boost", "--add", "order0", "--v=0.5", "--V=nan"],
+            ["boost", "--add", "order0", "--v=inf", "--V=0.5"],
+            ["boost", "--add", "order1", "--v=nan", "--V=0.5"],
         ],
         ids=["t-end", "step", "frame-speed", "light-speed", "resolution", "initial",
              "zero-division", "envelope", "damped-envelope", "harmonic-envelope",
-             "kink-envelope"],
+             "kink-envelope", "nan-t-end", "nan-step", "nan-eps-den", "nan-dx", "inf-dx",
+             "inf-xi", "nan-frame-speed", "inf-speed-order0", "nan-speed-order1"],
     )
     def test_invalid_value_is_usage_error(self, argv, tmp_path, capsys):
         argv = [str(tmp_path / "o.csv") if a == "OUT" else a for a in argv]
@@ -300,6 +319,80 @@ class TestCommands:
         assert name == "lambda_w"
         finite = np.isfinite(vals)
         assert np.allclose(vals[finite], 2 * np.pi / 1.5, atol=1e-4)
+
+
+# runs CLI argv lists given as JSON in one interpreter, then prints their exit
+# codes and the scipy modules it loaded
+SCIPY_PROBE = """
+import json, sys
+from locpv.cli import main
+codes = [main(argv) for argv in json.loads(sys.argv[1])]
+print(json.dumps([codes, sorted(m for m in sys.modules if m.partition(".")[0] == "scipy")]))
+"""
+
+
+def probe_scipy(recipes):
+    proc = run_python("-c", SCIPY_PROBE, json.dumps(recipes))
+    assert proc.returncode == 0, proc.stderr.decode()
+    return json.loads(proc.stdout.decode().splitlines()[-1])
+
+
+def write_harmonic_csv(path):
+    g = Grid1x1(-2.0, 0.05, 81, 0.0, 0.05, 41)
+    save_grid_csv(path, g, sample(Harmonic(3.0, 1.5), g).values)
+    return str(path)
+
+
+class TestStartup:
+    """scipy is imported only where a spline or a quadrature is built."""
+
+    def test_scipy_free_recipes_do_not_import_scipy(self, tmp_path):
+        # the README recipes on small grids, except medium (quadrature)
+        field_csv = write_harmonic_csv(tmp_path / "field.csv")
+        out, sim = str(tmp_path / "out"), str(tmp_path / "sim.csv")
+        recipes = [
+            ["pv", "--analytic", "damped:gauss,a=1,lambda=0.1", "--order", "1",
+             "--grid=-2,0.01,40x0,0.01,20", "--out", out],
+            ["pv", "--in", field_csv, "--order", "0", "--out", out],
+            ["track", "--analytic", "trans:gauss,a=1", "--order", "0", "--level", "0.5",
+             "--seed-near", "1.0,0.0", "--t-end", "3", "--step", "0.05", "--out", out],
+            ["boost", "--add", "order0", "--v", "0.5", "--V", "0.5"],
+            ["boost", "--audit", "order1", "--resolution", "20", "--out", out],
+            ["simulate", "--grid=-5,0.05,200x0,0.04,50", "--initial", "gauss:-2.5,0.7",
+             "--gamma", "0.1", "--out", sim],
+            ["pv", "--in", sim, "--order", "0", "--out", out],
+            ["wavelength", "--analytic", "harmonic:omega=3,k=1.5",
+             "--grid", "0,0.05,400x0,0.05,9", "--out", out],
+        ]
+        assert probe_scipy(recipes) == [[0] * len(recipes), []]
+
+    @pytest.mark.parametrize(
+        "argv, module",
+        [
+            (["pv", "--in", "FIELD", "--order", "0", "--grid=-1.5,0.07,20x0.1,0.06,10",
+              "--out", "OUT"], "scipy.interpolate"),
+            (["medium", "--n", "linear:1,0.1", "--c", "1", "--dx", "2", "--xi", "1,10",
+              "--out", "OUT"], "scipy.integrate"),
+        ],
+        ids=["pv-off-grid", "medium"],
+    )
+    def test_spline_and_quadrature_recipes_import_scipy(self, argv, module, tmp_path):
+        paths = {"FIELD": write_harmonic_csv(tmp_path / "field.csv"),
+                 "OUT": str(tmp_path / "o.csv")}
+        codes, loaded = probe_scipy([[paths.get(a, a) for a in argv]])
+        assert codes == [0]
+        assert module in loaded
+
+    def test_tabulated_index_imports_scipy(self):
+        proc = run_python(
+            "-c",
+            "import sys\n"
+            "from locpv import TabulatedIndex\n"
+            "assert 'scipy' not in sys.modules\n"
+            "print(TabulatedIndex([0.0, 1.0, 2.0], [1.0, 1.5, 1.2]).n(1.0))\n"
+            "assert 'scipy.interpolate' in sys.modules\n",
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, b"1.5\n", b"")
 
 
 class TestDeterminism:
