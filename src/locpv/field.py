@@ -13,7 +13,6 @@ import ast
 import io
 import operator
 from dataclasses import dataclass
-from math import factorial
 
 import numpy as np
 
@@ -136,11 +135,8 @@ ENVELOPES = {
 def envelope_derivs(envelope, phi, order):
     """Derivatives d^k env / d phi^k, k = 0..order, of a named envelope at the scalar phi."""
     _check_envelope(envelope)
-    u = Taylor2.constant(phi, order, np.shape(phi))
-    if order >= 1:
-        u.coef[1, 0] = 1.0
-    jet = ENVELOPES[envelope](u)
-    return np.array([jet.coef[k, 0] * factorial(k) for k in range(order + 1)])
+    _, u = Taylor2.variables(0.0, phi, order)
+    return ENVELOPES[envelope](u).deriv_table()[:, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -167,8 +163,7 @@ class AnalyticField:
         """Jet tables, shape (order+1, order+1, *batch), at broadcast points."""
         if not 0 <= order <= self.nmax + 1:
             raise OrderTooHigh(f"analytic fields support jets of order 0..{self.nmax + 1}")
-        xs, ts = Taylor2.variables(np.asarray(x, float), np.asarray(t, float), order)
-        return self.expr(xs, ts).deriv_table()
+        return self.expr(*Taylor2.variables(x, t, order)).deriv_table()
 
 
 @dataclass(frozen=True)
@@ -178,11 +173,21 @@ class Harmonic(AnalyticField):
     omega: float
     k: float
 
+    def __post_init__(self):
+        _check_finite(omega=self.omega, k=self.k)
+
     def expr(self, xs, ts):
         return t2_sin(self.omega * ts - self.k * xs)
 
 
-def _check_a(a):
+def _check_finite(**params):
+    for name, value in params.items():
+        if not np.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
+
+
+def _check_a(a, **params):
+    _check_finite(a=a, **params)
     if a == 0:
         raise ValueError("propagation constant a must be nonzero")
 
@@ -216,7 +221,7 @@ class DampedTranslational(AnalyticField):
     envelope: str = "gauss"
 
     def __post_init__(self):
-        _check_a(self.a)
+        _check_a(self.a, lam=self.lam)
         _check_envelope(self.envelope)
 
     def expr(self, xs, ts):
@@ -236,7 +241,7 @@ class KinkDamped(AnalyticField):
     lam: float
 
     def __post_init__(self):
-        _check_a(self.a)
+        _check_a(self.a, lam=self.lam)
 
     def expr(self, xs, ts):
         phi = ts - xs * (1.0 / self.a)
@@ -252,8 +257,8 @@ class InhomogeneousMode(AnalyticField):
     envelope: str = "gauss"
 
     def __post_init__(self):
-        if self.xi == 0:
-            raise ValueError("xi must be nonzero")
+        if not np.isfinite(self.xi) or self.xi == 0:
+            raise ValueError("xi must be finite and nonzero")
         _check_envelope(self.envelope)
 
     def expr(self, xs, ts):
@@ -296,7 +301,7 @@ class CustomField(AnalyticField):
     def expr(self, xs, ts):
         out = self._fn(xs, ts)
         if not isinstance(out, Taylor2):
-            out = Taylor2.constant(out, xs.order, xs.coef.shape[2:])
+            out = Taylor2.constant(out, xs.order, xs.shape)
         return out
 
 

@@ -48,9 +48,12 @@ __all__ = [
 class MediumProfile:
     """Refractive index profile n(x) > 0 with analytic spatial derivatives."""
 
-    def __init__(self, c=1.0):
-        if not c > 0:
-            raise ValueError("light speed must be positive")
+    def __init__(self, c=1.0, params=()):
+        """``params``: the profile's own parameters, which must be finite."""
+        if not 0 < c < np.inf:
+            raise ValueError("light speed must be positive and finite")
+        if not np.isfinite(params).all():
+            raise ValueError(f"medium parameters must be finite, got {params}")
         self.c = c
 
     def series(self, x, m):
@@ -73,7 +76,7 @@ class MediumProfile:
 
 class ConstantIndex(MediumProfile):
     def __init__(self, n0, c=1.0):
-        super().__init__(c)
+        super().__init__(c, (n0,))
         if not n0 > 0:
             raise ValueError("refractive index must be positive")
         self.n0 = float(n0)
@@ -88,7 +91,7 @@ class LinearIndex(MediumProfile):
     """n(x) = n0 + slope * x."""
 
     def __init__(self, n0, slope, c=1.0):
-        super().__init__(c)
+        super().__init__(c, (n0, slope))
         self.n0 = float(n0)
         self.slope = float(slope)
 
@@ -102,7 +105,7 @@ class TanhRampIndex(MediumProfile):
     """Smooth ramp n(x) = n0 + dn * (1 + tanh((x-center)/width)) / 2."""
 
     def __init__(self, n0, dn, center=0.0, width=1.0, c=1.0):
-        super().__init__(c)
+        super().__init__(c, (n0, dn, center, width))
         if width <= 0:
             raise ValueError("ramp width must be positive")
         self.n0, self.dn = float(n0), float(dn)
@@ -152,8 +155,8 @@ class ModeSpec:
     envelope: str = "gauss"
 
     def __post_init__(self):
-        if self.xi == 0:
-            raise ValueError("xi must be nonzero")
+        if not np.isfinite(self.xi) or self.xi == 0:
+            raise ValueError("xi must be finite and nonzero")
 
     def field(self, envelope=None) -> InhomogeneousMode:
         return InhomogeneousMode(self.xi, self.medium, envelope or self.envelope)

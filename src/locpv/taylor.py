@@ -6,22 +6,29 @@ objects through the closed-form expression of a wave family yields every mixed
 partial derivative at the expansion point to machine precision, with no
 symbolic algebra involved.
 
-Coefficients may be plain floats or numpy arrays of identical shape, in which
-case the whole jet is evaluated at a batch of expansion points at once.
+The coefficients c[p, q] with p + q <= order are kept in a flat list, in
+ascending (p, q).  Each one is a Python float or a numpy array in its own
+broadcast shape, so a jet can stand for a whole batch of expansion points: at
+x of shape (nx,) and t of shape (nt, 1), a coefficient that depends on t alone
+keeps the shape (nt, 1), and one that is the same everywhere (the 0 and 1 of
+the coordinate jets, -1/a) stays a float.  The jet records the shape of its
+batch, and ``deriv_table`` builds the square table once, at that shape.
 
-The product is the Cauchy product, run as one loop over a table of terms laid
-out once per order (Griewank & Walther, *Evaluating Derivatives*, ch. 13).
-Each output coefficient starts from +0.0 and adds its terms in a fixed order,
-so it rounds the same way on every path.  An unbatched product runs the loop
-on Python floats, whose products and sums are the IEEE operations numpy
-would do, without numpy's per-element overhead; a batched one runs it over
-the rows of the coefficient arrays.  A coefficient of the left factor that
-is zero (at every point of a batch) adds no terms, so 0 * inf or 0 * nan
-never enters a sum.
+Every operation works coefficient by coefficient.  The product is the Cauchy
+product, run as one loop over a table of terms laid out once per order
+(Griewank & Walther, *Evaluating Derivatives*, ch. 13), for floats and arrays
+alike.  Each output coefficient starts from +0.0 and adds its terms in a fixed
+order, so it rounds the same way on every path: Python floats multiply and
+add as the IEEE doubles numpy uses.  A coefficient of the left factor that is
+zero (at every point of a batch) adds no terms, so 0 * inf or 0 * nan never
+enters a sum.  Python's / and ** raise where numpy gives inf or nan, so
+divisions by constants and the series of the elementary functions stay in
+numpy, and an unbatched jet turns their results into floats.
 """
 
 from __future__ import annotations
 
+import operator
 from functools import cache
 from math import factorial
 
@@ -41,150 +48,154 @@ __all__ = [
 
 
 @cache
-def _product_terms(m):
-    """The terms of a product of order-m jets, per output coefficient.
-
-    Coefficients are indexed flat, i = p*(m+1) + q.  Each entry is (k, terms):
-    output k gets a[i]*b[j] for each (i, j) in terms, added in ascending
-    (p, q) of the a factor.  That order fixes the rounding of every sum.
-    """
-    w = m + 1
-    terms = {}
-    for p1 in range(w):
-        for q1 in range(w - p1):
-            for p2 in range(w - p1 - q1):
-                for q2 in range(w - p1 - q1 - p2):
-                    k = (p1 + p2) * w + q1 + q2
-                    terms.setdefault(k, []).append((p1 * w + q1, p2 * w + q2))
-    return tuple((k, tuple(t)) for k, t in terms.items())
+def _indices(m):
+    """(p, q) of each flat coefficient of an order-m jet: p + q <= m, ascending."""
+    return tuple((p, q) for p in range(m + 1) for q in range(m + 1 - p))
 
 
 @cache
-def _factorial_table(m):
-    """F[p, q] = p! q! for p + q <= m, else 1."""
-    f = np.ones((m + 1, m + 1))
-    for p in range(m + 1):
-        for q in range(m + 1 - p):
-            f[p, q] = factorial(p) * factorial(q)
-    f.flags.writeable = False  # one table serves every caller
-    return f
+def _product_terms(m):
+    """The terms of a product of order-m jets, per flat coefficient of the a factor.
+
+    Entry i holds a (j, k) pair for each output k that gets a[i]*b[j].  Run
+    over ascending i, this adds the terms of every output in ascending (p, q)
+    of the a factor, the order that fixes the rounding of its sum.
+    """
+    index = {pq: k for k, pq in enumerate(_indices(m))}
+    return tuple(tuple((j, index[p1 + p2, q1 + q2]) for (p2, q2), j in index.items()
+                       if p1 + q1 + p2 + q2 <= m) for p1, q1 in index)
+
+
+@cache
+def _factorials(m):
+    """p! q! as a float, per flat coefficient."""
+    return tuple(float(factorial(p) * factorial(q)) for p, q in _indices(m))
+
+
+def _entry(v):
+    """A coefficient from numpy: a 0-d result as a Python float."""
+    return v if isinstance(v, np.ndarray) and v.ndim else float(v)
+
+
+def _shape(v):
+    return () if isinstance(v, float) else np.shape(v)
+
+
+def _broadcast(s1, s2):
+    return s1 if s1 == s2 else np.broadcast_shapes(s1, s2)
 
 
 class Taylor2:
-    """Polynomial sum_{p+q<=order} coef[p,q] * dt^p * dx^q."""
+    """Polynomial sum_{p+q<=order} c[p,q] * dt^p * dx^q over a batch of shape ``shape``."""
 
-    __slots__ = ("coef", "order")
+    __slots__ = ("flat", "order", "shape")
 
     def __init__(self, coef):
-        self.coef = np.asarray(coef, dtype=float)
-        self.order = self.coef.shape[0] - 1
+        """A jet from its square array of coefficients, coef[p, q, *batch]."""
+        coef = np.asarray(coef, dtype=float)
+        self.order, self.shape = coef.shape[0] - 1, coef.shape[2:]
+        rows = coef.tolist() if coef.ndim == 2 else coef
+        self.flat = [rows[p][q] for p, q in _indices(self.order)]
+
+    @classmethod
+    def _of(cls, flat, order, shape):
+        jet = cls.__new__(cls)
+        jet.flat, jet.order, jet.shape = flat, order, shape
+        return jet
 
     # -- constructors -------------------------------------------------------
 
     @classmethod
-    def constant(cls, value, order, batch_shape=()):
-        shape = np.shape(value)
-        if batch_shape:
-            shape = np.broadcast_shapes(shape, batch_shape)
-        coef = np.zeros((order + 1, order + 1) + shape)
-        coef[0, 0] = value
-        return cls(coef)
+    def constant(cls, value, order, shape=()):
+        """The jet of a constant, over a batch of the given shape."""
+        flat = [0.0] * len(_indices(order))
+        flat[0] = value
+        return cls._of(flat, order, _broadcast(_shape(value), shape))
 
     @classmethod
     def variables(cls, x, t, order):
-        """Jets of the coordinate functions x and t at the point (x, t)."""
-        shape = ()
-        if np.ndim(x) or np.ndim(t):
-            shape = np.broadcast_shapes(np.shape(x), np.shape(t))
-        cx = np.zeros((order + 1, order + 1) + shape)
-        ct = np.zeros((order + 1, order + 1) + shape)
-        cx[0, 0] = x
-        ct[0, 0] = t
+        """Jets of the coordinate functions x and t at the points (x, t); each
+        keeps its own shape, and both stand for their broadcast batch."""
+        x, t = _entry(np.asarray(x, float)), _entry(np.asarray(t, float))
+        shape = _broadcast(_shape(x), _shape(t))
+        xs, ts = [0.0] * len(_indices(order)), [0.0] * len(_indices(order))
+        xs[0], ts[0] = x, t
         if order >= 1:
-            cx[0, 1] = 1.0
-            ct[1, 0] = 1.0
-        return cls(cx), cls(ct)
+            xs[1] = ts[order + 1] = 1.0  # the coefficients of dx, (0, 1), and dt, (1, 0)
+        return cls._of(xs, order, shape), cls._of(ts, order, shape)
 
     # -- inspection ---------------------------------------------------------
 
     @property
     def value(self):
-        return self.coef[0, 0]
+        return self.flat[0]
+
+    @property
+    def coef(self):
+        """The coefficients as a square array, coef[p, q, *shape] (0 where p+q > order)."""
+        m = self.order
+        table = np.zeros((m + 1, m + 1) + self.shape)
+        for (p, q), v in zip(_indices(m), self.flat):
+            table[p, q] = v
+        return table
 
     def deriv_table(self):
         """Array D with D[p, q] = d^{p+q} f / dt^p dx^q (entries p+q<=order)."""
-        f = _factorial_table(self.order)
-        return self.coef * f.reshape(f.shape + (1,) * (self.coef.ndim - 2))
+        scaled = [v * f for v, f in zip(self.flat, _factorials(self.order))]
+        return Taylor2._of(scaled, self.order, self.shape).coef
 
     # -- ring operations ----------------------------------------------------
 
-    def _coerce(self, other):
-        if isinstance(other, Taylor2):
-            if other.order != self.order:
-                raise ValueError("mixed jet orders")
-            return other
-        return Taylor2.constant(other, self.order)
+    def _check(self, other):
+        if other.order != self.order:
+            raise ValueError("mixed jet orders")
 
-    @staticmethod
-    def _aligned(a, b):
-        # pad trailing batch dims so (m+1, m+1, *batch) arrays broadcast
-        if a.ndim < b.ndim:
-            a = a.reshape(a.shape + (1,) * (b.ndim - a.ndim))
-        elif b.ndim < a.ndim:
-            b = b.reshape(b.shape + (1,) * (a.ndim - b.ndim))
-        return a, b
+    def _elementwise(self, op, other):
+        a = self.flat
+        if isinstance(other, Taylor2):
+            self._check(other)
+            return Taylor2._of(list(map(op, a, other.flat)), self.order,
+                               _broadcast(self.shape, other.shape))
+        # a constant is a jet whose other coefficients are +0.0
+        flat = [op(a[0], other)] + [op(v, 0.0) for v in a[1:]]
+        return Taylor2._of(flat, self.order, _broadcast(self.shape, _shape(other)))
 
     def __add__(self, other):
-        other = self._coerce(other)
-        a, b = self._aligned(self.coef, other.coef)
-        return Taylor2(a + b)
+        return self._elementwise(operator.add, other)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Taylor2(-self.coef)
+        return Taylor2._of([-v for v in self.flat], self.order, self.shape)
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        a, b = self._aligned(self.coef, other.coef)
-        return Taylor2(a - b)
+        return self._elementwise(operator.sub, other)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
         if not isinstance(other, Taylor2):
-            return Taylor2(self.coef * other)
-        if other.order != self.order:
-            raise ValueError("mixed jet orders")
-        m = self.order
-        a, b = self.coef, other.coef
-        n = (m + 1) * (m + 1)
-        # nz[i]: whether a[i] enters the sums (a zero adds nothing, even
-        # where b is inf or nan)
-        if a.ndim == b.ndim == 2:
-            af, bf = a.ravel().tolist(), b.ravel().tolist()
-            nz = [v != 0.0 for v in af]
-            batch, out = (), [0.0] * n
-        else:
-            af, bf = list(a.reshape((n,) + a.shape[2:])), list(b.reshape((n,) + b.shape[2:]))
-            nz = (a != 0.0).reshape(n, -1).any(-1).tolist()
-            batch = np.broadcast_shapes(a.shape[2:], b.shape[2:])
-            out = np.zeros((n,) + batch)
-        for k, terms in _product_terms(m):
-            s = out[k]
-            for i, j in terms:
-                if nz[i]:
-                    s += af[i] * bf[j]
-            out[k] = s
-        return Taylor2(np.asarray(out).reshape((m + 1, m + 1) + batch))
+            shape = _broadcast(self.shape, _shape(other))
+            return Taylor2._of([v * other for v in self.flat], self.order, shape)
+        self._check(other)
+        a, b = self.flat, other.flat
+        out = [0.0] * len(a)
+        for ai, terms in zip(a, _product_terms(self.order)):
+            # a zero adds nothing, even where b is inf or nan
+            if not (ai.any() if type(ai) is np.ndarray else ai != 0.0):
+                continue
+            for j, k in terms:
+                out[k] = out[k] + ai * b[j]
+        return Taylor2._of(out, self.order, _broadcast(self.shape, other.shape))
 
     def __rmul__(self, other):
         return self * other
 
     def __truediv__(self, other):
         if not isinstance(other, Taylor2):
-            return Taylor2(self.coef / other)
+            flat = [_entry(np.true_divide(v, other)) for v in self.flat]
+            return Taylor2._of(flat, self.order, _broadcast(self.shape, _shape(other)))
         return self * t2_pow(other, -1)
 
     def __rtruediv__(self, other):
@@ -201,15 +212,14 @@ def t2_compose(u, series_fn):
     """f(u) for a Taylor2 u, where series_fn(u0, m) returns the univariate
     Taylor coefficients c_k of f at u0 (f(u0+s) = sum c_k s^k, k<=m)."""
     m = u.order
-    c = series_fn(u.value, m)
-    uhat = Taylor2(np.array(u.coef, copy=True))
-    uhat.coef[0, 0] = 0.0
-    out = Taylor2.constant(c[m], m)
+    c = [_entry(v) for v in series_fn(u.value, m)]
+    uhat = Taylor2._of([0.0] + u.flat[1:], m, u.shape)
+    out = Taylor2._of([c[m]] + [0.0] * (len(u.flat) - 1), m, u.shape)
     for k in range(m - 1, -1, -1):
         out = out * uhat
         # the other coefficients are sums from +0.0, never -0.0, so adding
         # the +0.0 of a constant jet to them would change no bit
-        out.coef[0, 0] += c[k]
+        out.flat[0] = out.flat[0] + c[k]
     return out
 
 

@@ -150,11 +150,28 @@ class TestExitCodes:
             ["boost", "--add", "order0", "--v=0.5", "--V=nan"],
             ["boost", "--add", "order0", "--v=inf", "--V=0.5"],
             ["boost", "--add", "order1", "--v=nan", "--V=0.5"],
+            ["pv", "--analytic", "trans:gauss,a=nan", "--order", "0",
+             "--grid", "0,0.1,10x0,0.1,10", "--out", "OUT"],
+            ["pv", "--analytic", "harmonic:omega=nan,k=1.5", "--order", "0",
+             "--grid", "0,0.1,10x0,0.1,10", "--out", "OUT"],
+            ["pv", "--analytic", "harmonic:omega=3,k=inf", "--order", "0",
+             "--grid", "0,0.1,10x0,0.1,10", "--out", "OUT"],
+            ["pv", "--analytic", "damped:gauss,a=1,lambda=inf", "--order", "0",
+             "--grid", "0,0.1,10x0,0.1,10", "--out", "OUT"],
+            ["pv", "--analytic", "kink:a=1,lambda=nan", "--order", "0",
+             "--grid", "0,0.1,10x0,0.1,10", "--out", "OUT"],
+            ["medium", "--n", "linear:nan,0.1", "--dx", "2", "--xi", "1", "--out", "OUT"],
+            ["medium", "--n", "tanh:1,0.5,0,inf", "--dx", "2", "--xi", "1", "--out", "OUT"],
+            ["medium", "--n", "const:inf", "--dx", "2", "--xi", "1", "--out", "OUT"],
+            ["medium", "--n", "linear:1,0.1", "--c", "inf", "--dx", "2", "--xi", "1",
+             "--out", "OUT"],
         ],
         ids=["t-end", "step", "frame-speed", "light-speed", "resolution", "initial",
              "zero-division", "envelope", "damped-envelope", "harmonic-envelope",
              "kink-envelope", "nan-t-end", "nan-step", "nan-eps-den", "nan-dx", "inf-dx",
-             "inf-xi", "nan-frame-speed", "inf-speed-order0", "nan-speed-order1"],
+             "inf-xi", "nan-frame-speed", "inf-speed-order0", "nan-speed-order1",
+             "nan-a", "nan-omega", "inf-k", "inf-lambda", "nan-kink-lambda",
+             "nan-medium-index", "inf-ramp-width", "inf-constant-index", "inf-light-speed"],
     )
     def test_invalid_value_is_usage_error(self, argv, tmp_path, capsys):
         argv = [str(tmp_path / "o.csv") if a == "OUT" else a for a in argv]

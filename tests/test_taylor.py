@@ -234,9 +234,51 @@ FAMILIES = [
 )
 def test_batched_jets_equal_scalar_jets_bitwise(fld, order, points):
     xs, ts = (np.array(v) for v in zip(*points))
+    w, n = order + 1, len(points)
+    scalar = {}
+
+    def jet(x, t):
+        key = float(x).hex(), float(t).hex()  # -0.0 and 0.0 are distinct points
+        if key not in scalar:
+            scalar[key] = fld.jet(x, t, order).table
+        return scalar[key]
+
     table = fld.jet_batch(xs, ts, order)
+    assert table.shape == (w, w, n)
     for k, (x, t) in enumerate(points):
-        assert_same_bits(table[..., k], fld.jet(x, t, order).table)
+        assert_same_bits(table[..., k], jet(x, t))
+    # broadcast layouts: each coordinate keeps its own shape inside the jet
+    grid = fld.jet_batch(xs, ts[:, None], order)
+    assert grid.shape == (w, w, n, n)
+    for j, t in enumerate(ts):
+        for k, x in enumerate(xs):
+            assert_same_bits(grid[..., j, k], jet(x, t))
+    column = fld.jet_batch(xs[0], ts, order)
+    assert column.shape == (w, w, n)
+    for j, t in enumerate(ts):
+        assert_same_bits(column[..., j], jet(xs[0], t))
+
+
+def test_coordinate_jets_keep_their_own_shapes():
+    xs, ts = Taylor2.variables(np.zeros(3), np.zeros((2, 1)), 2)
+    assert xs.shape == ts.shape == (2, 3)
+    assert xs.flat[0].shape == (3,) and ts.flat[0].shape == (2, 1)
+    assert all(type(v) is float for v in xs.flat[1:] + ts.flat[1:])
+    decay = t2_exp(-0.3 * ts)
+    assert decay.shape == (2, 3) and decay.coef.shape == (3, 3, 2, 3)
+    assert {np.shape(v) for v in decay.flat} <= {(), (2, 1)}
+
+
+@pytest.mark.parametrize("expression,x", [("1/x", 0.0), ("x**-1.5", 0.0), ("exp(x)", 800.0)])
+def test_unbatched_jets_keep_numpys_ieee_results(expression, x):
+    # a division by zero or an overflow gives inf or nan, as in a batch,
+    # never a ZeroDivisionError or OverflowError
+    fld = CustomField(expression)
+    with np.errstate(all="ignore"):
+        assert fld.eval(x, 0.5) == np.inf
+        for order in range(6):
+            table = fld.jet(x, 0.5, order).table
+            assert_same_bits(table, fld.jet_batch([x, 1.0], 0.5, order)[..., 0])
 
 
 @pytest.mark.parametrize("t", [0.0, -0.0, 0.3, -1.2])
