@@ -1,10 +1,10 @@
 """Wave fields on the 1+1 dimensional (x, t) plane.
 
-Two kinds of field are supported: closed-form analytic families evaluated by
-jet (truncated-Taylor) arithmetic, and uniformly sampled grids differentiated
-by central finite-difference stencils with bicubic interpolation for off-grid
-queries.  Both answer ``eval``, ``jet`` and ``jet_batch`` (nan outside the
-domain, where ``jet`` raises OutOfDomain), so analysis code takes either kind.
+Two kinds of field are supported: closed-form analytic families, whose jets
+(truncated Taylor series) are recorded once per order as float code, and
+uniformly sampled grids differentiated by central finite-difference stencils
+with bicubic interpolation off the grid.  Both answer ``eval``, ``jet`` and
+``jet_batch`` (nan outside the domain, where ``jet`` raises OutOfDomain).
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ import numpy as np
 from .errors import OrderTooHigh, OutOfDomain, StencilClipped
 from .taylor import (
     Taylor2,
+    straight_line,
     t2_atan,
     t2_cos,
     t2_exp,
@@ -71,8 +72,9 @@ class Grid1x1:
     nt: int
 
     def __post_init__(self):
-        if not (self.dx > 0 and self.dt > 0):
-            raise ValueError("grid spacings must be positive")
+        if not (0 < self.dx < np.inf and 0 < self.dt < np.inf):
+            raise ValueError("grid spacings must be positive and finite")
+        _check_finite(x0=self.x0, t0=self.t0)
         if self.nx < 2 or self.nt < 2:
             raise ValueError("grid needs at least 2 points per axis")
 
@@ -97,27 +99,32 @@ class Grid1x1:
         return (self.x0 <= x) & (x <= self.x_max) & (self.t0 <= t) & (t <= self.t_max)
 
 
-@dataclass(frozen=True)
+@dataclass
 class Jet:
     """All mixed partials of a field at one point, up to a total order.
 
-    ``table[p, q]`` is d^{p+q} psi / dt^p dx^q; entries with p+q > order are
-    meaningless.
+    ``flat`` holds d^{p+q} psi / dt^p dx^q for p + q <= order, in ascending
+    (p, q); ``table[p, q]`` lays them out square, with 0 where p+q > order.
     """
 
     x: float
     t: float
     order: int
-    table: np.ndarray
+    flat: list
 
     def deriv(self, p, q):
         if p < 0 or q < 0 or p + q > self.order:
             raise OrderTooHigh(f"jet holds orders 0..{self.order}, not ({p}, {q})")
-        return self.table[p, q]
+        return self.flat[p * (2 * self.order + 3 - p) // 2 + q]
 
     @property
     def value(self):
-        return self.table[0, 0]
+        return self.flat[0]
+
+    @property
+    def table(self):
+        r = range(self.order + 1)
+        return np.array([[self.deriv(p, q) if p + q <= self.order else 0.0 for q in r] for p in r])
 
 
 # ---------------------------------------------------------------------------
@@ -145,7 +152,8 @@ def envelope_derivs(envelope, phi, order):
 
 
 class AnalyticField:
-    """Base class: subclasses define expr() over Taylor2 coordinate jets."""
+    """Base class: subclasses define expr() over Taylor2 coordinate jets,
+    which ``jet`` records once per order (``taylor.straight_line``)."""
 
     nmax = ANALYTIC_NMAX
 
@@ -156,14 +164,29 @@ class AnalyticField:
         out = self.jet_batch(x, t, 0)[0, 0]
         return out if np.ndim(out) else float(out)
 
-    def jet(self, x, t, order) -> Jet:
-        return Jet(float(x), float(t), order, self.jet_batch(x, t, order))
-
-    def jet_batch(self, x, t, order):
-        """Jet tables, shape (order+1, order+1, *batch), at broadcast points."""
+    def _check_order(self, order):
         if not 0 <= order <= self.nmax + 1:
             raise OrderTooHigh(f"analytic fields support jets of order 0..{self.nmax + 1}")
-        return self.expr(*Taylor2.variables(x, t, order)).deriv_table()
+
+    def jet(self, x, t, order) -> Jet:
+        try:
+            fn = self._jets[order]
+        except (AttributeError, KeyError):
+            self._check_order(order)
+            fn = self.__dict__.setdefault("_jets", {})[order] = straight_line(self.expr, order)
+        x, t = float(x), float(t)
+        return Jet(x, t, order, fn(x, t))
+
+    def __getstate__(self):
+        # recorded jets are code, which does not pickle; a copy records its own
+        return {k: v for k, v in self.__dict__.items() if k != "_jets"}
+
+    def jet_batch(self, x, t, order):
+        """Jet tables, shape (order+1, order+1, *batch), at broadcast points;
+        nan or inf where the field is undefined, without numpy warnings."""
+        self._check_order(order)
+        with np.errstate(all="ignore"):
+            return self.expr(*Taylor2.variables(x, t, order)).deriv_table()
 
 
 @dataclass(frozen=True)
@@ -502,11 +525,9 @@ class SampledField:
         x, t = float(x), float(t)
         if not self.grid.contains(x, t):
             raise OutOfDomain(f"point ({x}, {t}) outside the sampling grid")
-        table = np.zeros((order + 1, order + 1))
-        for p in range(order + 1):
-            for q in range(order + 1 - p):
-                table[p, q] = self._spline(p, q)(t, x)[0, 0]
-        return Jet(x, t, order, table)
+        flat = [float(self._spline(p, q)(t, x)[0, 0])
+                for p in range(order + 1) for q in range(order + 1 - p)]
+        return Jet(x, t, order, flat)
 
     def jet_batch(self, x, t, order):
         """The tables of ``jet`` at broadcast points, as from an analytic field;

@@ -159,7 +159,11 @@ class ModeSpec:
             raise ValueError("xi must be finite and nonzero")
 
     def field(self, envelope=None) -> InhomogeneousMode:
-        return InhomogeneousMode(self.xi, self.medium, envelope or self.envelope)
+        # one field per envelope, so that its recorded jets serve every call
+        fields, envelope = self.__dict__.setdefault("_fields", {}), envelope or self.envelope
+        if envelope not in fields:
+            fields[envelope] = InhomogeneousMode(self.xi, self.medium, envelope)
+        return fields[envelope]
 
 
 # ---------------------------------------------------------------------------
@@ -254,7 +258,7 @@ def vI_global_rederived(mode: ModeSpec, dx):
 
     if dx == 0:
         raise DegenerateInterval("dx must be nonzero")
-    dt, _ = quad(lambda x: 1.0 / vI_local_rederived(mode, x), 0.0, dx, limit=200)
+    dt, _ = quad(lambda x: np.divide(1.0, vI_local_rederived(mode, x)), 0.0, dx, limit=200)
     return dx / dt
 
 

@@ -38,12 +38,8 @@ class SimSpec:
 
     def speed_array(self):
         xs = self.domain.xs
-        if callable(self.speed):
-            a = np.asarray(self.speed(xs), float)
-            a = np.broadcast_to(a, xs.shape).astype(float)
-        else:
-            a = np.broadcast_to(np.asarray(self.speed, float), xs.shape).astype(float)
-        return a
+        a = self.speed(xs) if callable(self.speed) else self.speed
+        return np.broadcast_to(np.asarray(a, float), xs.shape).astype(float)
 
     def check_cfl(self):
         a = self.speed_array()
@@ -150,10 +146,6 @@ def discrete_energy(field: SampledField, speed):
     psi = field.values
     a = np.broadcast_to(np.asarray(speed, float), g.xs.shape)
     a2m = 0.5 * (a[1:] ** 2 + a[:-1] ** 2)
-    out = np.empty(g.nt - 1)
-    for n in range(g.nt - 1):
-        vt = (psi[n + 1] - psi[n]) / g.dt
-        dxp1 = np.diff(psi[n + 1]) / g.dx
-        dxp0 = np.diff(psi[n]) / g.dx
-        out[n] = (np.sum(vt ** 2) + np.sum(a2m * dxp1 * dxp0)) * g.dx
-    return out
+    vt = np.diff(psi, axis=0) / g.dt
+    dxp = np.diff(psi, axis=1) / g.dx
+    return (np.sum(vt ** 2, axis=1) + np.sum(a2m * dxp[1:] * dxp[:-1], axis=1)) * g.dx

@@ -3,39 +3,39 @@
 A ``Taylor2`` holds the coefficients of a polynomial in the two displacement
 variables (dt, dx), truncated at a fixed total degree.  Propagating these
 objects through the closed-form expression of a wave family yields every mixed
-partial derivative at the expansion point to machine precision, with no
-symbolic algebra involved.
+partial derivative at the expansion point to machine precision.  The
+coefficients c[p, q], p + q <= order, form a flat list in ascending (p, q);
+each is a Python float or a numpy array in its own broadcast shape, so a jet
+can stand for a batch of points (a coefficient that depends on t alone keeps
+t's shape, one that is the same everywhere stays a float).
 
-The coefficients c[p, q] with p + q <= order are kept in a flat list, in
-ascending (p, q).  Each one is a Python float or a numpy array in its own
-broadcast shape, so a jet can stand for a whole batch of expansion points: at
-x of shape (nx,) and t of shape (nt, 1), a coefficient that depends on t alone
-keeps the shape (nt, 1), and one that is the same everywhere (the 0 and 1 of
-the coordinate jets, -1/a) stays a float.  The jet records the shape of its
-batch, and ``deriv_table`` builds the square table once, at that shape.
+The product is the Cauchy product, one loop over a table of terms laid out
+once per order (Griewank & Walther, *Evaluating Derivatives*, ch. 13).  Each
+output coefficient starts from +0.0 and adds its terms in a fixed order, so it
+rounds the same on every path, and a zero coefficient of the left factor adds
+no terms, so 0 * inf never enters a sum.  Python's / and ** raise where numpy
+gives inf or nan, so divisions by constants and series stay in numpy.
 
-Every operation works coefficient by coefficient.  The product is the Cauchy
-product, run as one loop over a table of terms laid out once per order
-(Griewank & Walther, *Evaluating Derivatives*, ch. 13), for floats and arrays
-alike.  Each output coefficient starts from +0.0 and adds its terms in a fixed
-order, so it rounds the same way on every path: Python floats multiply and
-add as the IEEE doubles numpy uses.  A coefficient of the left factor that is
-zero (at every point of a batch) adds no terms, so 0 * inf or 0 * nan never
-enters a sum.  Python's / and ** raise where numpy gives inf or nan, so
-divisions by constants and the series of the elementary functions stay in
-numpy, and an unbatched jet turns their results into floats.
+``straight_line`` records the engine once per expression and order, on
+coefficients known only at run time, and returns the same float operations
+as one Python function of (x, t): a scalar jet then costs a function call,
+not an interpreted product loop (Jorba & Zou, *Exp. Math.* 14 (2005)
+generate Taylor recurrences once per system the same way).  It runs the
+engine's own series functions and keeps its zero skips, so its bits are the
+engine's, which stays the reference and computes every batch.
 """
 
 from __future__ import annotations
 
 import operator
 from functools import cache
-from math import factorial
+from math import factorial, isfinite
 
 import numpy as np
 
 __all__ = [
     "Taylor2",
+    "straight_line",
     "t2_exp",
     "t2_sin",
     "t2_cos",
@@ -74,7 +74,7 @@ def _factorials(m):
 
 def _entry(v):
     """A coefficient from numpy: a 0-d result as a Python float."""
-    return v if isinstance(v, np.ndarray) and v.ndim else float(v)
+    return v if isinstance(v, np.ndarray) and v.ndim or type(v) is _Var else float(v)
 
 
 def _shape(v):
@@ -116,7 +116,7 @@ class Taylor2:
     def variables(cls, x, t, order):
         """Jets of the coordinate functions x and t at the points (x, t); each
         keeps its own shape, and both stand for their broadcast batch."""
-        x, t = _entry(np.asarray(x, float)), _entry(np.asarray(t, float))
+        x, t = (v if type(v) is _Var else _entry(np.asarray(v, float)) for v in (x, t))
         shape = _broadcast(_shape(x), _shape(t))
         xs, ts = [0.0] * len(_indices(order)), [0.0] * len(_indices(order))
         xs[0], ts[0] = x, t
@@ -134,7 +134,8 @@ class Taylor2:
     def coef(self):
         """The coefficients as a square array, coef[p, q, *shape] (0 where p+q > order)."""
         m = self.order
-        table = np.zeros((m + 1, m + 1) + self.shape)
+        recorded = any(type(v) is _Var for v in self.flat)  # no float value yet
+        table = np.zeros((m + 1, m + 1) + self.shape, object if recorded else float)
         for (p, q), v in zip(_indices(m), self.flat):
             table[p, q] = v
         return table
@@ -180,6 +181,8 @@ class Taylor2:
             return Taylor2._of([v * other for v in self.flat], self.order, shape)
         self._check(other)
         a, b = self.flat, other.flat
+        if (tape := next((v.tape for v in a + b if type(v) is _Var), None)) is not None:
+            return Taylor2._of(tape.product(a, b, self.order), self.order, ())  # a recording
         out = [0.0] * len(a)
         for ai, terms in zip(a, _product_terms(self.order)):
             # a zero adds nothing, even where b is inf or nan
@@ -208,11 +211,17 @@ class Taylor2:
 # -- composition with elementary functions ---------------------------------
 
 
-def t2_compose(u, series_fn):
+def t2_compose(u, series_fn, inline=False):
     """f(u) for a Taylor2 u, where series_fn(u0, m) returns the univariate
-    Taylor coefficients c_k of f at u0 (f(u0+s) = sum c_k s^k, k<=m)."""
+    Taylor coefficients c_k of f at u0 (f(u0+s) = sum c_k s^k, k<=m).
+
+    A recording calls series_fn when the jet runs, or, with ``inline`` (for
+    arithmetic and numpy ufuncs only), records its operations."""
     m = u.order
-    c = [_entry(v) for v in series_fn(u.value, m)]
+    if type(u.value) is _Var and not inline:
+        c = u.value.tape.call(series_fn, u.value, m)
+    else:
+        c = [_entry(v) for v in series_fn(u.value, m)]
     uhat = Taylor2._of([0.0] + u.flat[1:], m, u.shape)
     out = Taylor2._of([c[m]] + [0.0] * (len(u.flat) - 1), m, u.shape)
     for k in range(m - 1, -1, -1):
@@ -280,27 +289,27 @@ def pow_series(p, u0, m):
 
 
 def t2_exp(u):
-    return t2_compose(u, exp_series)
+    return t2_compose(u, exp_series, inline=True)
 
 
 def t2_sin(u):
-    return t2_compose(u, sin_series)
+    return t2_compose(u, sin_series, inline=True)
 
 
 def t2_cos(u):
-    return t2_compose(u, cos_series)
+    return t2_compose(u, cos_series, inline=True)
 
 
 def t2_atan(u):
-    return t2_compose(u, atan_series)
+    return t2_compose(u, atan_series, inline=True)
 
 
 def t2_log(u):
-    return t2_compose(u, log_series)
+    return t2_compose(u, log_series, inline=True)
 
 
 def t2_sqrt(u):
-    return t2_compose(u, lambda u0, m: pow_series(0.5, u0, m))
+    return t2_compose(u, lambda u0, m: pow_series(0.5, u0, m), inline=True)
 
 
 def t2_pow(u, p):
@@ -314,4 +323,131 @@ def t2_pow(u, p):
             base = base * base if k > 1 else base
             k >>= 1
         return out
-    return t2_compose(u, lambda u0, m: pow_series(float(p), u0, m))
+    return t2_compose(u, lambda u0, m: pow_series(float(p), u0, m), inline=True)
+
+
+# -- recorded jets -----------------------------------------------------------
+
+
+_OPERATORS = {"add": "+", "subtract": "-", "multiply": "*", "divide": "/"}
+
+
+def _op(symbol, reflected=False):
+    fmt = "{} %s {}" % symbol
+    return lambda self, b: self.tape.emit(fmt, *((b, self) if reflected else (self, b)))
+
+
+class _Var:
+    """A coefficient known when a recorded jet runs: a variable of its code."""
+
+    __slots__ = ("tape", "name")
+
+    def __init__(self, tape, name):
+        self.tape, self.name = tape, name
+
+    __add__, __radd__ = _op("+"), _op("+", True)
+    __sub__, __rsub__ = _op("-"), _op("-", True)
+    __mul__, __rmul__ = _op("*"), _op("*", True)
+    __truediv__, __rtruediv__ = _op("/"), _op("/", True)
+    __neg__ = lambda self: self.tape.emit("-{}", self)
+
+    def __array_ufunc__(self, ufunc, method, *args):
+        # numpy scalar results become Python floats: +, -, * and / round alike
+        if ufunc.__name__ in _OPERATORS:
+            return self.tape.emit("{} %s {}" % _OPERATORS[ufunc.__name__], *args)
+        return self.tape.emit("float({}(%s))" % ", ".join(["{}"] * len(args)), ufunc, *args)
+
+    def __bool__(self):
+        raise TypeError("a recorded coefficient has no value until the jet runs")
+
+
+class _Tape:
+    """The code of one recorded jet, whose constants are arguments, not literals."""
+
+    def __init__(self):
+        self.lines, self.consts, self.names = [], [], {}
+
+    def ref(self, v):
+        if type(v) is _Var:
+            return v.name
+        if isinstance(v, (np.floating, np.ndarray)):
+            v = float(v)  # a numpy scalar operand rounds as a Python float
+        key = (type(v), v.hex() if type(v) is float else id(v))
+        if key not in self.names:
+            self.names[key] = f"k{len(self.consts)}"
+            self.consts.append(v)
+        return self.names[key]
+
+    def emit(self, fmt, *args):
+        if fmt == "{} / {}" and (type(args[1]) is _Var or args[1] == 0):
+            # Python's / raises at a zero divisor, where numpy gives inf or nan
+            fmt = "{0} / {1} if {1} != 0.0 else float({2}({0}, {1}))"
+            args = (*args, np.true_divide)
+        return self.assign(fmt.format(*map(self.ref, args)))
+
+    def assign(self, code):
+        var = _Var(self, f"v{len(self.lines)}")
+        self.lines.append(f"{var.name} = {code}")
+        return var
+
+    def product(self, a, b, m):
+        """The coefficients of a * b as the engine adds its terms o + a[i] *
+        b[j], one line each.  The engine skips a zero a[i]; a run-time a[i]
+        times a finite constant is then +-0.0, which a sum from +0.0 absorbs,
+        and its other terms go under ``if a[i] != 0.0``."""
+        out, code, owned = [0.0] * len(a), {}, {}  # code[k]: out[k] as an expression
+        for ai, terms in zip(a, _product_terms(m)):
+            if not (type(ai) is _Var or ai != 0.0):
+                continue
+            var, block, skipped, name = type(ai) is _Var, [], {}, self.ref(ai)
+            for j, k in terms:
+                if var or type(b[j]) is _Var:
+                    term = f" + {name} * {self.ref(b[j])}"
+                elif k in code:
+                    term = f" + {self.ref(ai * b[j])}"
+                else:
+                    out[k] = out[k] + ai * b[j]
+                    continue
+                value = code.get(k) or self.ref(out[k])
+                if not var or type(b[j]) is not _Var and isfinite(b[j]):
+                    code[k] = value + term
+                    continue
+                # out[k] gets a variable of its own, for the block to change
+                if k not in code:
+                    owned[k] = _Var(self, f"v{len(self.lines)}_{k}")
+                    skipped.setdefault(value, []).append(owned[k].name)
+                elif k not in owned or value != owned[k].name:
+                    owned[k] = self.assign(value)
+                    value = owned[k].name
+                block.append(f"    {owned[k].name} = {value}{term}")
+                code[k] = owned[k].name
+            if skipped:
+                block += ["else:"] + [f"    {' = '.join(v)} = {c}" for c, v in skipped.items()]
+            self.lines += [f"if {name} != 0.0:", *block] if block else []
+        for k in code:
+            out[k] = owned[k] if k in owned and code[k] == owned[k].name else self.assign(code[k])
+        return out
+
+    def call(self, fn, u0, m):
+        """fn(u0, m) as Python floats, called when the jet runs."""
+        out = [_Var(self, f"c{len(self.lines)}_{k}") for k in range(m + 1)]
+        names, call = ", ".join(v.name for v in out), f"{self.ref(fn)}({u0.name}, {self.ref(m)})"
+        self.lines.append(f"{names}, = map(float, {call})")
+        return out
+
+
+def straight_line(expr, order):
+    """expr recorded once at the given order as f(x, t) of two floats, which
+    returns the p!q!-scaled flat coefficients: the engine's float operations
+    in its order, with its zero skips and series values, folding only
+    constants, so f agrees bit for bit with expr on ``Taylor2.variables``."""
+    tape = _Tape()
+    jet = expr(*Taylor2.variables(_Var(tape, "x"), _Var(tape, "t"), order))
+    # deriv_table's scaling; a product with 1.0 changes no bit
+    out = [tape.ref(v if f == 1.0 else v * f) for v, f in zip(jet.flat, _factorials(order))]
+    body = "".join(f"        {line}\n" for line in tape.lines)
+    source = (f"def make({', '.join(tape.names.values())}):\n    def jet(x, t):\n"
+              f"{body}        return [{', '.join(out)}]\n    return jet\n")
+    namespace = {"__name__": __name__}  # numpy warnings name this module
+    exec(compile(source, "<recorded jet>", "exec"), namespace)
+    return namespace["make"](*tape.consts)

@@ -126,6 +126,8 @@ def find_seed(field, order, target, near):
     finite, the field's error at the first scan point is raised.
     """
     x_near, t0 = near
+    if not np.isfinite([target, x_near, t0]).all():
+        raise ValueError("target and seed point must be finite")
     if isinstance(field, SampledField):
         g = field.grid
         bracket, xtol = g.x_max - g.x0, 1e-3 * g.dx
@@ -184,8 +186,9 @@ def track(
         else:
             step = (t_end - attr.t0) / 1e4
     # written so that a nan fails every comparison
-    if not (0 < step < np.inf and attr.t0 < t_end < np.inf):
-        raise ValueError("need a finite step > 0 and a finite t_end > t0")
+    if not (0 < step < np.inf and -np.inf < attr.t0 < t_end < np.inf
+            and abs(attr.x0) < np.inf and abs(attr.target) < np.inf):
+        raise ValueError("need a finite step > 0, t_end > t0, target and seed")
     if seed_tol is None:
         # sampled seeds are only located to ~1e-3*dx, so allow matching slack
         rel = 1e-3 if isinstance(field, SampledField) else 1e-6

@@ -165,13 +165,28 @@ class TestExitCodes:
             ["medium", "--n", "const:inf", "--dx", "2", "--xi", "1", "--out", "OUT"],
             ["medium", "--n", "linear:1,0.1", "--c", "inf", "--dx", "2", "--xi", "1",
              "--out", "OUT"],
+            # a nan target or seed point never brackets a sign change
+            ["track", "--analytic", "trans:gauss,a=1", "--order", "0", "--level", "nan",
+             "--seed-near", "1,0", "--t-end", "1", "--out", "OUT"],
+            ["track", "--analytic", "trans:gauss,a=1", "--order", "0", "--level", "0.5",
+             "--seed-near", "nan,0", "--t-end", "1", "--out", "OUT"],
+            ["track", "--analytic", "trans:gauss,a=1", "--order", "0", "--level", "0.5",
+             "--seed-near", "1,-inf", "--t-end", "1", "--out", "OUT"],
+            ["pv", "--analytic", "trans:gauss,a=1", "--order", "1",
+             "--grid=0,inf,10x0,0.1,10", "--out", "OUT"],
+            ["pv", "--analytic", "trans:gauss,a=1", "--order", "1",
+             "--grid=nan,0.1,10x0,0.1,10", "--out", "OUT"],
+            ["pv", "--analytic", "trans:gauss,a=1", "--order", "1",
+             "--grid=0,0.1,10x-inf,0.1,10", "--out", "OUT"],
         ],
         ids=["t-end", "step", "frame-speed", "light-speed", "resolution", "initial",
              "zero-division", "envelope", "damped-envelope", "harmonic-envelope",
              "kink-envelope", "nan-t-end", "nan-step", "nan-eps-den", "nan-dx", "inf-dx",
              "inf-xi", "nan-frame-speed", "inf-speed-order0", "nan-speed-order1",
              "nan-a", "nan-omega", "inf-k", "inf-lambda", "nan-kink-lambda",
-             "nan-medium-index", "inf-ramp-width", "inf-constant-index", "inf-light-speed"],
+             "nan-medium-index", "inf-ramp-width", "inf-constant-index", "inf-light-speed",
+             "nan-level", "nan-seed-x", "inf-seed-t", "inf-grid-dx", "nan-grid-x0",
+             "inf-grid-t0"],
     )
     def test_invalid_value_is_usage_error(self, argv, tmp_path, capsys):
         argv = [str(tmp_path / "o.csv") if a == "OUT" else a for a in argv]
@@ -190,6 +205,16 @@ class TestExitCodes:
         )
         assert code == 1
         assert capsys.readouterr().err.splitlines() == ["error: StencilClipped"]
+
+    def test_math_domain_cells_are_masked_without_warnings(self, tmp_path):
+        # log(x) is nan for x < 0 and -inf at 0; in a child, so that numpy
+        # warnings would reach its stderr
+        out = tmp_path / "c.csv"
+        proc = run_child(["pv", "--analytic", "custom:log(x)*t", "--order", "0",
+                          "--grid=-1,0.5,5x0,0.1,5", "--out", str(out)])
+        assert (proc.returncode, proc.stderr) == (0, b"")
+        _, values, _ = load_grid_csv(out)
+        assert np.isnan(values[:, :3]).all() and np.isfinite(values[1:, 3:]).all()
 
     def test_unknown_flag_exits_2(self):
         assert run_child(["pv", "--frobnicate"]).returncode == 2

@@ -1,5 +1,7 @@
 """Field construction, evaluation, sampling, FD stencils, and CSV round trips."""
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -41,6 +43,10 @@ class TestGrid:
             dict(x0=0, dx=0.1, nx=1, t0=0, dt=0.1, nt=5),
             dict(x0=0, dx=-0.1, nx=5, t0=0, dt=0.1, nt=5),
             dict(x0=0, dx=0.1, nx=5, t0=0, dt=0.0, nt=5),
+            dict(x0=0, dx=np.inf, nx=5, t0=0, dt=0.1, nt=5),
+            dict(x0=0, dx=0.1, nx=5, t0=0, dt=np.nan, nt=5),
+            dict(x0=np.nan, dx=0.1, nx=5, t0=0, dt=0.1, nt=5),
+            dict(x0=0, dx=0.1, nx=5, t0=-np.inf, dt=0.1, nt=5),
         ],
     )
     def test_invalid_grids_rejected(self, kw):
@@ -78,6 +84,14 @@ class TestAnalyticEval:
     def test_custom_division_by_a_constant_zero(self, expression):
         with pytest.raises(ValueError, match="division by a constant zero"):
             CustomField(expression).eval(0.5, 0.0)
+
+
+    def test_a_field_pickles_after_its_jets(self):
+        # the recorded code stays behind; the copy records its own
+        fld = DampedTranslational(1.2, 0.1, "arctan")
+        jet = fld.jet(0.3, 0.4, 2)
+        copy = pickle.loads(pickle.dumps(fld))
+        assert copy == fld and copy.jet(0.3, 0.4, 2) == jet
 
 
 class TestSampling:

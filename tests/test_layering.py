@@ -1,7 +1,7 @@
 """Layering: no locpv module reaches into another module's private names,
 every module uses each name it imports, the velocity modules decide poles
-only through ``phasevel.is_pole``, and no module imports scipy when it is
-loaded."""
+only through ``phasevel.is_pole``, no module imports scipy when it is
+loaded, and only the jet recorder compiles and runs code."""
 
 import ast
 from pathlib import Path
@@ -286,3 +286,39 @@ def test_load_time_checker_finds_scipy_imports(source, modules):
 )
 def test_load_time_checker_allows_imports_in_functions(source):
     assert load_time_imports(source) == []
+
+
+def code_runs(source):
+    """(line, name) of each call of the builtins that compile or run code."""
+    return [(node.lineno, node.func.id) for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id in ("compile", "exec", "eval")]
+
+
+# taylor.straight_line compiles the code it records from a field, whose text
+# it writes itself; no other module turns text into code
+@pytest.mark.parametrize("module", MODULES)
+def test_only_the_jet_recorder_compiles_code(module):
+    expected = {"compile", "exec"} if module == "taylor" else set()
+    assert {name for _, name in code_runs((PACKAGE / f"{module}.py").read_text())} == expected
+
+
+@pytest.mark.parametrize(
+    "source, names",
+    [
+        ("exec(compile(src, '<x>', 'exec'), ns)", ["exec", "compile"]),
+        ("def f(s):\n    return eval(s)", ["eval"]),
+    ],
+    ids=["exec-compile", "eval"],
+)
+def test_code_run_checker_finds_calls(source, names):
+    assert sorted(name for _, name in code_runs(source)) == sorted(names)
+
+
+@pytest.mark.parametrize(
+    "source",
+    ["_compile(node)", "re.compile(pattern)", "ast.parse(text, mode='eval')", "obj.exec()"],
+    ids=["private-helper", "attribute", "keyword", "method"],
+)
+def test_code_run_checker_allows_other_calls(source):
+    assert code_runs(source) == []

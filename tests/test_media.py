@@ -6,6 +6,7 @@ from scipy.integrate import quad
 from scipy.interpolate import CubicHermiteSpline
 from scipy.optimize import brentq
 
+import locpv.field
 from locpv.errors import (
     DegenerateDenominator,
     DegenerateInterval,
@@ -188,6 +189,18 @@ class TestRederivation:
         assert vI_global(mode, 2.0) == pytest.approx(
             vI_global_rederived(mode, 2.0), rel=1e-9
         )
+
+    def test_one_quadrature_records_one_jet(self, monkeypatch):
+        # quad evaluates the local velocity at 21 nodes per interval; the
+        # mode's one field records its order-2 jet at the first of them
+        recorded, record = [], locpv.field.straight_line
+        monkeypatch.setattr(locpv.field, "straight_line",
+                            lambda expr, order: recorded.append(order) or record(expr, order))
+        mode = ModeSpec(10.0, LinearIndex(1.0, 0.1))
+        vI_global_rederived(mode, 2.0)
+        assert recorded == [2]
+        vI_global_rederived(mode, 1.0)
+        assert recorded == [2]
 
     def test_sign_audit_report(self):
         mode = ModeSpec(10.0, LinearIndex(1.0, 0.1))

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+import locpv.relativity
 from locpv.errors import DegenerateDenominator
 from locpv.field import DampedTranslational, Harmonic, Translational
 from locpv.phasevel import pv_point
@@ -203,3 +204,19 @@ class TestAudit:
             subluminality_audit("order2", 10)
         with pytest.raises(ValueError):
             subluminality_audit("order0", 1)
+
+    @pytest.mark.parametrize("rule", ["order0", "order1"])
+    @pytest.mark.parametrize("resolution, c", [(2, 1.0), (17, 1.3), (60, 2.0)])
+    def test_report_equals_the_row_loop(self, rule, resolution, c, monkeypatch):
+        # a negative slack makes many cells violations, so their order shows
+        monkeypatch.setattr(locpv.relativity, "SUBLUMINAL_TOL", -0.7)
+        pts = np.linspace(-c, c, resolution + 2)[1:-1]
+        add = add_v0 if rule == "order0" else add_vI_freewave
+        max_ratio, violations = 0.0, []
+        for i in range(resolution):  # the per-row loop the audit once ran
+            ratio = np.abs(add(BoostFrame(pts[i], c), pts)) / c
+            max_ratio = max(max_ratio, float(ratio.max()))
+            violations += [[float(pts[j]), float(pts[i])] for j in np.nonzero(ratio > 0.3)[0]]
+        rep = subluminality_audit(rule, resolution, c=c)
+        assert violations and rep.violations == violations
+        assert rep.max_abs_vprime_over_c == max_ratio

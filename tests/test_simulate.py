@@ -116,6 +116,20 @@ class TestEnergyAndReversibility:
         e = discrete_energy(s, 1.0)
         assert np.all(np.diff(e) <= 1e-10 * e[0])
 
+    @pytest.mark.parametrize("boundary", ["Periodic", "Reflecting"])
+    def test_energy_equals_the_row_loop_bitwise(self, boundary):
+        g = Grid1x1(-5.0, 0.025, 400, 0.0, 0.02, 200)
+        a = 0.9 + 0.05 * np.sin(g.xs)
+        s = run(SimSpec(g, a, 0.1, gauss_pulse, gauss_pulse_dx, boundary))
+        # the per-row loop discrete_energy once ran
+        a2m = 0.5 * (a[1:] ** 2 + a[:-1] ** 2)
+        loop = np.empty(g.nt - 1)
+        for n in range(g.nt - 1):
+            vt = (s.values[n + 1] - s.values[n]) / g.dt
+            dxp1, dxp0 = np.diff(s.values[n + 1]) / g.dx, np.diff(s.values[n]) / g.dx
+            loop[n] = (np.sum(vt ** 2) + np.sum(a2m * dxp1 * dxp0)) * g.dx
+        assert np.array_equal(discrete_energy(s, a), loop)
+
     def test_undamped_run_is_time_reversible(self):
         g = Grid1x1(-5.0, 0.025, 400, 0.0, 0.02, 300)
         spec = right_mover_spec(g)

@@ -2,12 +2,17 @@
 product and custom-expression engines against their reference loops."""
 
 import ast
+import io
+import re
+import tokenize
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import locpv.field
+import locpv.taylor
 from locpv.field import (
     CustomField,
     DampedTranslational,
@@ -20,6 +25,7 @@ from locpv.field import (
 from locpv.media import ConstantIndex, LinearIndex, TabulatedIndex, TanhRampIndex
 from locpv.taylor import (
     Taylor2,
+    straight_line,
     atan_series,
     exp_series,
     log_series,
@@ -351,3 +357,83 @@ def test_compiled_custom_field_matches_the_tree_walk(expression):
             assert_same_bits(fld.jet(x, t, order).table, ref.deriv_table())
         ref = tree_walk(expression, *Taylor2.variables(pts[:, 0], pts[:, 1], order))
         assert_same_bits(fld.jet_batch(pts[:, 0], pts[:, 1], order), ref.deriv_table())
+
+
+# -- recorded jets ------------------------------------------------------------
+
+_SPECIAL_COORDS = [0.0, -0.0, np.inf, -np.inf, np.nan]
+_FAMILY_IDS = [f"{i}-{type(fld).__name__}" for i, fld in enumerate(FAMILIES)]
+
+
+def engine_jet(fld, x, t, order):
+    """The jet table of a field from the engine itself, Taylor2 on floats."""
+    return fld.expr(*Taylor2.variables(x, t, order)).deriv_table()
+
+
+@pytest.mark.parametrize("fld", FAMILIES, ids=_FAMILY_IDS)
+@given(st.lists(st.tuples(st.floats(-3.0, 3.0) | st.sampled_from(_SPECIAL_COORDS),
+                          st.floats(-3.0, 3.0) | st.sampled_from(_SPECIAL_COORDS)),
+                min_size=1, max_size=3))
+def test_recorded_jets_equal_the_engine_bitwise(fld, points):
+    # nan matches nan; the sign of a zero is compared
+    with np.errstate(all="ignore"):
+        for order in range(6):
+            for x, t in points:
+                assert_same_bits(fld.jet(x, t, order).table, engine_jet(fld, x, t, order))
+
+
+@pytest.mark.parametrize("fld", FAMILIES, ids=_FAMILY_IDS)
+def test_recorded_jets_equal_the_engine_at_special_points(fld):
+    with np.errstate(all="ignore"):
+        for order in range(6):
+            for x in _SPECIAL_COORDS + [0.7]:
+                for t in _SPECIAL_COORDS + [-0.4]:
+                    assert_same_bits(fld.jet(x, t, order).table, engine_jet(fld, x, t, order))
+
+
+def test_a_fields_second_jet_of_an_order_records_nothing(monkeypatch):
+    fld, recorded, products = DampedTranslational(0.8, 0.2), [], []
+    record, multiply = locpv.field.straight_line, Taylor2.__mul__
+    monkeypatch.setattr(locpv.field, "straight_line",
+                        lambda expr, order: recorded.append(order) or record(expr, order))
+    monkeypatch.setattr(Taylor2, "__mul__", lambda a, b: products.append(1) or multiply(a, b))
+    first = fld.jet(0.3, -0.1, 2)
+    assert recorded == [2] and products
+    products.clear()
+    assert fld.jet(0.3, -0.1, 2) == first
+    fld.jet(-1.2, 0.4, 2)
+    assert recorded == [2] and products == []
+    fld.jet(0.3, -0.1, 3)
+    assert recorded == [2, 3]
+
+
+_CODE_NAME = re.compile(r"[vkc]\d+(_\d+)?|x|t|make|jet|def|return|if|else|float|map")
+
+
+def test_recorded_code_holds_no_user_text(monkeypatch):
+    # constants, inf and nan among them, reach the code as arguments of the
+    # function that makes it, so its text holds none of the expression's
+    sources = []
+    monkeypatch.setattr(locpv.taylor, "compile",
+                        lambda source, *args: sources.append(source) or compile(source, *args),
+                        raising=False)
+    fld = CustomField("1e400 * x + (1e400 - 1e400) * t + 2.5e-3 * sin(x / 7) - pi")
+    with np.errstate(all="ignore"):
+        for order in range(4):
+            for x, t in [(0.3, -0.2), (0.0, 1.5)]:
+                assert_same_bits(fld.jet(x, t, order).table, engine_jet(fld, x, t, order))
+    assert len(sources) == 4
+    for source in sources:
+        tokens = list(tokenize.generate_tokens(io.StringIO(source).readline))
+        assert {tok.string for tok in tokens if tok.type == tokenize.NUMBER} <= {"0.0"}
+        names = {tok.string for tok in tokens if tok.type == tokenize.NAME}
+        assert all(_CODE_NAME.fullmatch(name) for name in names), names
+
+
+def test_straight_line_returns_the_scaled_flat_coefficients():
+    fld = KinkDamped(1.3, 0.2)
+    for order in range(6):
+        table = engine_jet(fld, 0.4, -0.3, order)
+        flat = straight_line(fld.expr, order)(0.4, -0.3)
+        assert flat == [table[p, q] for p in range(order + 1) for q in range(order + 1 - p)]
+        assert all(type(v) is float for v in flat)

@@ -228,6 +228,23 @@ class TestTrack:
         with pytest.raises(SeedOffAttribute):
             track(Translational(1.0), Attribute(0, 0.5, 3.0, 0.0), t_end=1.0)
 
+    @pytest.mark.parametrize(
+        "target, x0, t0",
+        [(np.nan, 0.83, 0.0), (0.5, np.nan, 0.0), (np.inf, 0.83, 0.0), (0.5, 0.83, -np.inf)],
+    )
+    def test_nonfinite_attribute_is_rejected(self, target, x0, t0):
+        # a nan target once passed the seed check (abs(g0 - nan) > tol is False)
+        # and gave a trajectory of nan rows
+        with pytest.raises(ValueError):
+            track(Translational(1.0), Attribute(0, target, x0, t0), 1.0, step=0.1)
+
+    @pytest.mark.parametrize(
+        "target, near", [(np.nan, (1.0, 0.0)), (0.5, (np.nan, 0.0)), (0.5, (1.0, np.inf))]
+    )
+    def test_nonfinite_seed_search_is_rejected(self, target, near):
+        with pytest.raises(ValueError):
+            find_seed(Translational(1.0), 0, target, near)
+
     def test_attribute_conserved_along_trajectory(self):
         fld = DampedTranslational(1.0, 0.1)
         x0, t0 = find_seed(fld, 0, 0.5, near=(-1.0, 0.0))
