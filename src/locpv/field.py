@@ -3,13 +3,15 @@
 Two kinds of field are supported: closed-form analytic families, whose jets
 (truncated Taylor series) are recorded once per order as float code, and
 uniformly sampled grids differentiated by central finite-difference stencils
-with bicubic interpolation off the grid.  Both answer ``eval``, ``jet`` and
-``jet_batch`` (nan outside the domain, where ``jet`` raises OutOfDomain).
+and read off the grid through a local 4x4 Lagrange cubic.  Both answer
+``eval``, ``jet`` and ``jet_batch`` (nan outside the domain, where ``jet``
+raises OutOfDomain).
 """
 
 from __future__ import annotations
 
 import ast
+import functools
 import io
 import operator
 from dataclasses import dataclass
@@ -321,6 +323,9 @@ class CustomField(AnalyticField):
     def __repr__(self):
         return f"CustomField({self.expression!r})"
 
+    def __reduce__(self):  # a copy compiles the expression again
+        return type(self), (self.expression,)
+
     def expr(self, xs, ts):
         out = self._fn(xs, ts)
         if not isinstance(out, Taylor2):
@@ -474,7 +479,7 @@ class SampledField:
         self.grid = grid
         self.values = values
         self._deriv_grids = {}
-        self._splines = {}
+        self._stack = ()
 
     # -- derivative grids ----------------------------------------------------
 
@@ -489,29 +494,31 @@ class SampledField:
             self._deriv_grids[key] = g
         return self._deriv_grids[key]
 
-    def _spline(self, p, q):
-        """Bicubic spline of the (p, q) FD grid (of lower degree on an axis of
-        under 4 nodes)."""
-        key = (p, q)
-        if key not in self._splines:
-            # scipy.interpolate takes most of a second to import; only spline
-            # queries pay for it
-            from scipy.interpolate import RectBivariateSpline
-
-            g = self.grid
-            kx, ky = min(3, g.nt - 1), min(3, g.nx - 1)
-            self._splines[key] = RectBivariateSpline(
-                g.ts, g.xs, self.derivative_grid(p, q), kx=kx, ky=ky
-            )
-        return self._splines[key]
+    def _stacked(self, order):
+        """The FD grids of an order's K entries of _PAIRS as one array (K, nt, nx), each
+        axis padded to 4 nodes by its last; one copy, of the highest order asked."""
+        k = (order + 1) * (order + 2) // 2
+        if len(self._stack) < k:
+            g, stack = self.grid, np.stack([self.derivative_grid(*pq) for pq in _PAIRS[:k]])
+            pad = [(0, 0), (0, max(0, 4 - g.nt)), (0, max(0, 4 - g.nx))]
+            self._stack = np.pad(stack, pad, mode="edge") if min(g.nt, g.nx) < 4 else stack
+        return self._stack[:k]
 
     def derivatives_on(self, grid: Grid1x1, p, q):
         """d^{p+q} psi / dt^p dx^q on grid: ``derivative_grid`` on the sampling
-        grid, elsewhere its spline with nan outside the samples (no extrapolation)."""
+        grid, elsewhere its interpolant with nan outside the samples (no extrapolation)."""
         if grid == self.grid:
             return self.derivative_grid(p, q)
-        values = self._spline(p, q)(grid.ts, grid.xs)
-        return np.where(self.grid.contains(grid.xs, grid.ts[:, None]), values, np.nan)
+        g = self.grid
+        jt, wt = _stencil(np.clip(grid.ts, g.t0, g.t_max), g.t0, g.dt, g.nt)
+        ix, wx = _stencil(np.clip(grid.xs, g.x0, g.x_max), g.x0, g.dx, g.nx)
+        # along t onto the query times, on the columns the x-stencils read, then
+        # along x: a point's sums in their order
+        lo = ix.min()
+        d = self.derivative_grid(p, q)[:, lo : ix.max() + 4]
+        rows = _wsum([d[np.minimum(jt + k, g.nt - 1)] for k in range(4)], [w[:, None] for w in wt])
+        values = _wsum([rows[:, np.minimum(ix - lo + k, d.shape[1] - 1)] for k in range(4)], wx)
+        return np.where(g.contains(grid.xs, grid.ts[:, None]), values, np.nan)
 
     # -- queries -------------------------------------------------------------
 
@@ -519,15 +526,22 @@ class SampledField:
         return float(self.jet(x, t, 0).value)
 
     def jet(self, x, t, order) -> Jet:
-        # at one point, direct spline calls beat jet_batch's array path
+        # ``jet_batch``'s sums in their order, on the Python floats of one 4x4 block
         if not 0 <= order <= self.nmax + 1:
             raise OrderTooHigh(f"sampled fields support jets of order 0..{self.nmax + 1}")
         x, t = float(x), float(t)
-        if not self.grid.contains(x, t):
+        g = self.grid
+        if not g.contains(x, t):
             raise OutOfDomain(f"point ({x}, {t}) outside the sampling grid")
-        flat = [float(self._spline(p, q)(t, x)[0, 0])
-                for p in range(order + 1) for q in range(order + 1 - p)]
-        return Jet(x, t, order, flat)
+        j0, (wt0, wt1, wt2, wt3) = _stencil(t, g.t0, g.dt, g.nt)
+        i0, (wx0, wx1, wx2, wx3) = _stencil(x, g.x0, g.dx, g.nx)
+        vals = [(a0 * wt0 + a1 * wt1 + a2 * wt2 + a3 * wt3) * wx0
+                + (b0 * wt0 + b1 * wt1 + b2 * wt2 + b3 * wt3) * wx1
+                + (c0 * wt0 + c1 * wt1 + c2 * wt2 + c3 * wt3) * wx2
+                + (d0 * wt0 + d1 * wt1 + d2 * wt2 + d3 * wt3) * wx3
+                for (a0, b0, c0, d0), (a1, b1, c1, d1), (a2, b2, c2, d2), (a3, b3, c3, d3)
+                in self._stacked(order)[:, j0 : j0 + 4, i0 : i0 + 4].tolist()]
+        return Jet(x, t, order, [vals[k] for k in _JET_ORDER[order]])
 
     def jet_batch(self, x, t, order):
         """The tables of ``jet`` at broadcast points, as from an analytic field;
@@ -535,14 +549,48 @@ class SampledField:
         if not 0 <= order <= self.nmax + 1:
             raise OrderTooHigh(f"sampled fields support jets of order 0..{self.nmax + 1}")
         x, t = np.broadcast_arrays(np.asarray(x, float), np.asarray(t, float))
-        inside = self.grid.contains(x, t)
+        g = self.grid
+        inside = g.contains(x, t)
         table = np.full((order + 1, order + 1) + x.shape, np.nan)
         if inside.any():
+            stack = self._stacked(order)
+            jt, wt = _stencil(t[inside], g.t0, g.dt, g.nt)
+            ix, wx = _stencil(x[inside], g.x0, g.dx, g.nx)
+            vals = _wsum([_wsum([stack[:, jt + j, ix + i] for j in range(4)], wt)
+                          for i in range(4)], wx)
             table[:, :, inside] = 0.0
-            for p in range(order + 1):
-                for q in range(order + 1 - p):
-                    table[p, q, inside] = self._spline(p, q)(t[inside], x[inside], grid=False)
+            for (p, q), v in zip(_PAIRS, vals):
+                table[p, q, inside] = v
         return table
+
+
+# the (p, q) of the stack by ascending p + q; _JET_ORDER[m]: where an order-m jet's entries sit
+_PAIRS = [(p, d - p) for d in range(SAMPLED_NMAX + 2) for p in range(d + 1)]
+_JET_ORDER = [[_PAIRS.index((p, q)) for p in range(m + 1) for q in range(m + 1 - p)]
+              for m in range(SAMPLED_NMAX + 2)]
+
+
+def _stencil(c, c0, h, n):
+    """(first node, 4 weights) of the Lagrange cubic through the 4 nodes around c
+    (a float or an array in [c0, c0 + (n-1)h]), shifted inward at the edges; on
+    an axis of n < 4 nodes, of the polynomial through all, with zero weights after."""
+    u = (c - c0) / h
+    if isinstance(u, float):
+        first = max(0, min(int(u) - 1, n - 4))
+    else:
+        first = np.maximum(0, np.minimum(u.astype(np.intp) - 1, n - 4))
+    s = u - first
+    d1, d2, d3 = s - 1.0, s - 2.0, s - 3.0
+    if n >= 4:
+        a, b = s * d1, d2 * d3
+        return first, [d1 * b / -6.0, s * b / 2.0, a * d3 / -2.0, a * d2 / 6.0]
+    zero = s * 0.0
+    return first, [d1 * d2 / 2.0, -(s * d2), s * d1 / 2.0, zero] if n == 3 else [-d1, s, zero, zero]
+
+
+def _wsum(terms, weights):
+    """terms[0]*weights[0] + terms[1]*weights[1] + ..., added left to right."""
+    return functools.reduce(operator.add, map(operator.mul, terms, weights))
 
 
 def sample(field: AnalyticField, grid: Grid1x1) -> SampledField:

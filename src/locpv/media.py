@@ -193,7 +193,10 @@ def transit_time(medium: MediumProfile, x0, x1):
 
 def v0_global(medium: MediumProfile, dx):
     """Global transit velocity from the origin: c / n(dx)."""
-    return medium.c / medium.n(dx)
+    n = medium.n(dx)
+    if is_pole(medium.c, n):
+        raise DegenerateDenominator("n(dx) vanished")
+    return medium.c / n
 
 
 # ---------------------------------------------------------------------------

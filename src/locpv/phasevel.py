@@ -8,6 +8,7 @@ point queries and as masked entries from grid sweeps.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,16 +72,16 @@ def is_pole(num, den):
 
 
 def pv_from_jet(jet, order):
-    """Phase velocity of the given order from a precomputed jet, or None."""
+    """Phase velocity of the given order from a jet; None at a pole or a non-finite ratio."""
     num = jet.deriv(1, order)
     den = jet.deriv(0, order + 1)
-    if is_pole(num, den):
+    if not (math.isfinite(num) and math.isfinite(den)) or is_pole(num, den):
         return None
     return -num / den
 
 
 def pv_point(field, x, t, order):
-    """Local N-th order phase velocity at one point; None at a pole."""
+    """Local N-th order phase velocity at one point; None where undefined."""
     return pv_from_jet(field.jet(x, t, order + 1), order)
 
 

@@ -216,6 +216,25 @@ class TestExitCodes:
         _, values, _ = load_grid_csv(out)
         assert np.isnan(values[:, :3]).all() and np.isfinite(values[1:, 3:]).all()
 
+    def test_track_past_a_custom_domain_stops_at_the_singularity(self, tmp_path):
+        # the level sqrt(x) + t = 1 reaches x = 0 at t = 1, where the field's
+        # jet turns nan; in a child, so that numpy warnings would reach its stderr
+        out = tmp_path / "tr.csv"
+        proc = run_child(["track", "--analytic", "custom:sqrt(x)+t", "--order", "0",
+                          "--level", "1", "--seed-near", "1,0", "--t-end", "2",
+                          "--out", str(out)])
+        assert (proc.returncode, proc.stderr) == (0, b"")
+        lines = out.read_text().splitlines()
+        assert lines[-2] == "# terminated_by=SingularityHit"
+        assert np.isfinite(np.array([row.split(",") for row in lines[1:-2]], float)).all()
+
+    def test_medium_with_a_zero_index_prints_one_error_line(self, tmp_path):
+        # n(2) = 1 - 0.5 * 2 = 0; in a child, so that numpy warnings would
+        # reach its stderr
+        proc = run_child(["medium", "--n", "linear:1,-0.5", "--c", "1", "--dx", "2",
+                          "--xi", "1", "--out", str(tmp_path / "m.csv")])
+        assert (proc.returncode, proc.stderr) == (1, b"error: DegenerateDenominator\n")
+
     def test_unknown_flag_exits_2(self):
         assert run_child(["pv", "--frobnicate"]).returncode == 2
 
@@ -386,7 +405,7 @@ def write_harmonic_csv(path):
 
 
 class TestStartup:
-    """scipy is imported only where a spline or a quadrature is built."""
+    """scipy is imported only where a PCHIP profile or a quadrature is built."""
 
     def test_scipy_free_recipes_do_not_import_scipy(self, tmp_path):
         # the README recipes on small grids, except medium (quadrature)
@@ -396,6 +415,11 @@ class TestStartup:
             ["pv", "--analytic", "damped:gauss,a=1,lambda=0.1", "--order", "1",
              "--grid=-2,0.01,40x0,0.01,20", "--out", out],
             ["pv", "--in", field_csv, "--order", "0", "--out", out],
+            # a sampled field read off its grid, and tracked: the local interpolant
+            ["pv", "--in", field_csv, "--order", "0", "--grid=-1.5,0.07,20x0.1,0.06,10",
+             "--out", out],
+            ["track", "--in", field_csv, "--order", "0", "--level", "0.5",
+             "--seed-near=-0.15,0.1", "--t-end", "0.5", "--out", out],
             ["track", "--analytic", "trans:gauss,a=1", "--order", "0", "--level", "0.5",
              "--seed-near", "1.0,0.0", "--t-end", "3", "--step", "0.05", "--out", out],
             ["boost", "--add", "order0", "--v", "0.5", "--V", "0.5"],
@@ -408,22 +432,12 @@ class TestStartup:
         ]
         assert probe_scipy(recipes) == [[0] * len(recipes), []]
 
-    @pytest.mark.parametrize(
-        "argv, module",
-        [
-            (["pv", "--in", "FIELD", "--order", "0", "--grid=-1.5,0.07,20x0.1,0.06,10",
-              "--out", "OUT"], "scipy.interpolate"),
-            (["medium", "--n", "linear:1,0.1", "--c", "1", "--dx", "2", "--xi", "1,10",
-              "--out", "OUT"], "scipy.integrate"),
-        ],
-        ids=["pv-off-grid", "medium"],
-    )
-    def test_spline_and_quadrature_recipes_import_scipy(self, argv, module, tmp_path):
-        paths = {"FIELD": write_harmonic_csv(tmp_path / "field.csv"),
-                 "OUT": str(tmp_path / "o.csv")}
-        codes, loaded = probe_scipy([[paths.get(a, a) for a in argv]])
+    def test_quadrature_recipe_imports_scipy(self, tmp_path):
+        argv = ["medium", "--n", "linear:1,0.1", "--c", "1", "--dx", "2", "--xi", "1,10",
+                "--out", str(tmp_path / "o.csv")]
+        codes, loaded = probe_scipy([argv])
         assert codes == [0]
-        assert module in loaded
+        assert "scipy.integrate" in loaded
 
     def test_tabulated_index_imports_scipy(self):
         proc = run_python(

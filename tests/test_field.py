@@ -94,6 +94,14 @@ class TestAnalyticEval:
         assert copy == fld and copy.jet(0.3, 0.4, 2) == jet
 
 
+    def test_a_custom_field_pickles_by_its_expression(self):
+        fld = CustomField("sin(x)*t + sqrt(x*x + 1)")
+        jet = fld.jet(0.3, 0.4, 3)
+        copy = pickle.loads(pickle.dumps(fld))
+        assert repr(copy) == repr(fld)
+        assert np.array_equal(np.array(copy.jet(0.3, 0.4, 3).flat).view(np.uint64),
+                              np.array(jet.flat).view(np.uint64))
+
 class TestSampling:
     def test_sample_matches_direct_eval(self):
         g = Grid1x1(0.0, 0.1, 11, 0.0, 0.1, 11)
@@ -207,6 +215,60 @@ class TestDerivativesOn:
         exact = Translational(1.0).jet_batch(q.xs[None, 10:30], q.ts[:10, None], 2)[0, 2]
         np.testing.assert_allclose(d[:10, 10:30], exact, atol=0.05)
 
+
+
+def _poly(x, t, degree_t):
+    """A polynomial of degree 3 in x and degree_t in t."""
+    px = [0.3 - 1.1 * x + 0.7 * x**2 - 0.4 * x**3, 0.5 + 0.2 * x - 0.9 * x**3,
+          1.3 - x**2 + 0.8 * x**3, -0.6 * x**3 + 0.1 * x]
+    return sum(c * t**b for b, c in enumerate(px[: degree_t + 1]))
+
+
+class TestInterpolant:
+    """Off its nodes a sampled field reads each FD grid through one local
+    tensor-product Lagrange cubic, of lower degree on an axis under 4 nodes."""
+
+    @pytest.mark.parametrize("nt", [2, 3, 4, 11])
+    def test_reproduces_polynomials_of_its_degree(self, nt):
+        g = Grid1x1(-1.0, 0.2, 11, 0.5, 0.3, nt)
+        degree_t = min(3, nt - 1)
+        s = SampledField(g, _poly(g.xs, g.ts[:, None], degree_t))
+        # the first, a middle and the last cell of each axis
+        xs = [g.x0 + 0.3 * g.dx, g.x0 + 5.6 * g.dx, g.x_max - 0.3 * g.dx, g.x_max]
+        ts = [g.t0 + 0.4 * g.dt, 0.5 * (g.t0 + g.t_max), g.t_max - 0.4 * g.dt, g.t0]
+        for x in xs:
+            for t in ts:
+                value = s.jet(x, t, 0).value
+                assert value == pytest.approx(_poly(x, t, degree_t), abs=1e-13)
+                assert s.jet_batch(x, t, 0)[0, 0] == value
+        q = Grid1x1(g.x0 + 0.05, 0.17, 12, g.t0 + 0.01, 0.7 * g.dt, nt)
+        np.testing.assert_allclose(s.derivatives_on(q, 0, 0),
+                                   _poly(q.xs, q.ts[:, None], degree_t), rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize("nt, expected", [(2, 0.5), (3, -0.25), (4, 0.125)])
+    def test_lower_degree_on_a_short_axis(self, nt, expected):
+        # t^3 sampled at t = 0, 1, ...: on 2 nodes the line t, on 3 the
+        # parabola 3t^2 - 2t, from 4 on t^3 itself; at t = 0.5
+        g = Grid1x1(0.0, 1.0, 5, 0.0, 1.0, nt)
+        s = SampledField(g, np.repeat(g.ts[:, None] ** 3, 5, axis=1))
+        assert s.eval(2.0, 0.5) == pytest.approx(expected, abs=1e-15)
+
+    def test_sweeps_on_another_grid_equal_point_jets_bit_for_bit(self):
+        g = Grid1x1(-2.0, 0.05, 81, 0.0, 0.05, 41)
+        s = sample(DampedTranslational(1.0, 0.1), g)
+        q = Grid1x1(-2.6, 0.07, 75, -0.4, 0.06, 45)  # past every edge of g
+        # the (p, q) of an order-2 jet, in its flat order
+        sweeps = np.array([s.derivatives_on(q, p, k) for p in range(3) for k in range(3 - p)])
+        for j in range(0, q.nt, 3):
+            for i in range(0, q.nx, 3):
+                if g.contains(q.xs[i], q.ts[j]):
+                    flat = np.array(s.jet(q.xs[i], q.ts[j], 2).flat)
+                    assert np.array_equal(sweeps[:, j, i].view(np.uint64), flat.view(np.uint64))
+
+    def test_far_query_grids_are_nan_without_warnings(self):
+        s = sample(Harmonic(3.0, 1.5), Grid1x1(0.0, 0.1, 21, 0.0, 0.1, 21))
+        q = Grid1x1(1e300, 1e299, 3, -1e300, 1e299, 3)
+        assert np.isnan(s.derivatives_on(q, 1, 0)).all()
 
 class TestCsv:
     def test_round_trip(self, tmp_path):

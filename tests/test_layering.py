@@ -103,8 +103,8 @@ def test_no_module_reads_another_modules_private_names(module):
         ("from . import _private_helper", "__init__._private_helper"),
         ("import locpv.field as f\nf._diff_axis", "field._diff_axis"),
         ("import locpv.field\nlocpv.field._diff_axis", "field._diff_axis"),
-        # the reach-in that SampledField.derivatives_on replaced
-        ("def f(field):\n    return field._spline(0, 1)", "<object>._spline"),
+        # a private method of SampledField
+        ("def f(field):\n    return field._stacked(1)", "<object>._stacked"),
         ("def f(s):\n    return s.values, s._deriv_grids", "<object>._deriv_grids"),
     ],
     ids=["from-relative", "from-absolute", "module-alias", "package", "import-as",
@@ -121,9 +121,9 @@ def test_checker_finds_private_reaches(source, reach):
         "from .field import __all__",
         "from numpy import _globals",
         "import numpy as np\nnp._NoValue",
-        "self._spline(0, 0)",
+        "self._stacked(0)",
         "from .phasevel import _deriv_arrays",  # the module's own name
-        "def _spline(): pass\nobj._spline",  # a name the module defines itself
+        "def _stacked(): pass\nobj._stacked",  # a name the module defines itself
     ],
     ids=["public", "dunder", "other-package", "other-package-attribute", "self",
          "own-import", "own-name"],

@@ -13,6 +13,7 @@ from locpv.field import (
     Grid1x1,
     Harmonic,
     KinkDamped,
+    SampledField,
     Translational,
     load_grid_csv,
     sample,
@@ -145,7 +146,11 @@ def _assert_seed_on_attribute(field, order, target, near, xtol):
         return
     assert t0 == near[1]
     field.jet(x0, t0, order + 1)
-    lo, hi = (field.jet(x, t0, order + 1).deriv(0, order) - target for x in (x0 - xtol, x0 + xtol))
+    probes = [x0 - xtol, x0 + xtol]
+    if isinstance(field, SampledField):
+        # a root within xtol of the grid's edge is bracketed from inside
+        probes = np.clip(probes, field.grid.x0, field.grid.x_max)
+    lo, hi = (field.jet(x, t0, order + 1).deriv(0, order) - target for x in probes)
     assert lo * hi <= 0
 
 
