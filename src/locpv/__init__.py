@@ -19,6 +19,7 @@ from .errors import (
     OrderTooHigh,
     OutOfDomain,
     PoleOnPath,
+    QuadratureLimit,
     SeedOffAttribute,
     SingularSeed,
     StencilClipped,

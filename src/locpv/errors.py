@@ -59,6 +59,10 @@ class NonpositiveLogArgument(LocpvError):
     """Logarithm argument in the global first-order relation is not positive."""
 
 
+class QuadratureLimit(LocpvError):
+    """An adaptive quadrature met no error bound within its interval limit."""
+
+
 class DegenerateInterval(LocpvError):
     """Zero-length spatial interval where a finite one is required."""
 

@@ -20,6 +20,7 @@ from .errors import (
     DegenerateInterval,
     NonpositiveLogArgument,
     PoleOnPath,
+    QuadratureLimit,
 )
 from .field import InhomogeneousMode
 from .phasevel import is_pole, pv_point
@@ -113,37 +114,56 @@ class TanhRampIndex(MediumProfile):
 
     def series(self, x, m):
         # Taylor of tanh at u0 via y' = 1 - y^2: (k)th coefficient from the
-        # Cauchy product of the lower ones
-        u0 = (np.asarray(x, float) - self.center) / self.width
-        y = [np.tanh(u0)]
-        for k in range(1, m + 1):
-            sq = sum(y[i] * y[k - 1 - i] for i in range(k))
-            y.append(((1.0 - sq) if k == 1 else -sq) / k)
-        out = []
-        for k in range(m + 1):
-            const = (self.n0 + 0.5 * self.dn) if k == 0 else 0.0
-            out.append(const + 0.5 * self.dn * y[k] / self.width ** k)
+        # Cauchy product of the lower ones; a tiny width leaves inf or nan ones
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            u0 = (np.asarray(x, float) - self.center) / self.width
+            y = [np.tanh(u0)]
+            for k in range(1, m + 1):
+                sq = sum(y[i] * y[k - 1 - i] for i in range(k))
+                y.append(((1.0 - sq) if k == 1 else -sq) / k)
+            out = []
+            for k in range(m + 1):
+                const = (self.n0 + 0.5 * self.dn) if k == 0 else 0.0
+                out.append(const + 0.5 * self.dn * y[k] / self.width ** k)
         return out
 
 
 class TabulatedIndex(MediumProfile):
-    """Monotone cubic (PCHIP) interpolation of tabulated (x, n) samples."""
+    """Monotone cubic (PCHIP) through tabulated (x, n), extrapolated by its end
+    cubics: Fritsch & Carlson's slopes (SIAM J. Numer. Anal. 17, 1980) inside,
+    Moler's three-point rule (Numerical Computing with MATLAB, 3.6) at the ends."""
 
     def __init__(self, xs, ns, c=1.0):
-        from scipy.interpolate import PchipInterpolator
-
-        super().__init__(c)
-        xs = np.asarray(xs, float)
-        ns = np.asarray(ns, float)
+        xs, ns = np.asarray(xs, float), np.asarray(ns, float)
+        if xs.ndim != 1 or xs.shape != ns.shape or len(xs) < 2 or np.any(np.diff(xs) <= 0):
+            raise ValueError("tabulated x must be 2 or more increasing values, one per n")
+        super().__init__(c, (*xs, *ns))
         if np.any(ns <= 0):
             raise ValueError("tabulated refractive index must be positive")
-        self._interp = PchipInterpolator(xs, ns)
+        h, m = np.diff(xs), np.diff(ns) / np.diff(xs)
+        d = np.full(len(xs), m[0])  # a 2-point table is linear
+        if len(xs) > 2:
+            w1, w2 = 2 * h[1:] + h[:-1], h[1:] + 2 * h[:-1]
+            with np.errstate(divide="ignore", invalid="ignore"):
+                harmonic = (w1 + w2) / (w1 / m[:-1] + w2 / m[1:])
+            d[1:-1] = np.where(np.sign(m[1:]) * np.sign(m[:-1]) <= 0, 0.0, harmonic)
+            # the ends: the three-point estimate, 0 against the end secant's
+            # sign, 3x that secant where the secants turn and it exceeds that
+            h0, h1, m0, m1 = h[[0, -1]], h[[1, -2]], m[[0, -1]], m[[1, -2]]
+            e = ((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+            turn = (np.sign(m0) != np.sign(m1)) & (abs(e) > abs(3 * m0))
+            d[[0, -1]] = np.where(np.sign(e) != np.sign(m0), 0.0, np.where(turn, 3 * m0, e))
+        t = (d[:-1] + d[1:] - 2 * m) / h
+        self._xs, self._cubics = xs, np.array([ns[:-1], d[:-1], (m - d[:-1]) / h - t, t / h])
 
     def series(self, x, m):
-        out = [self._interp(x)]
-        for k in range(1, m + 1):
-            out.append(self._interp.derivative(k)(x) / math.factorial(k))
-        return out
+        x = np.asarray(x, float)
+        i = np.clip(np.searchsorted(self._xs, x, side="right") - 1, 0, len(self._xs) - 2)
+        s = x - self._xs[i]
+        c0, c1, c2, c3 = self._cubics[:, i]
+        out = [((c3 * s + c2) * s + c1) * s + c0, (3 * c3 * s + 2 * c2) * s + c1,
+               3 * c3 * s + c2, c3]
+        return out[: m + 1] + [np.zeros(np.shape(x))[()]] * max(0, m - 3)
 
 
 @dataclass(frozen=True)
@@ -257,12 +277,71 @@ def vI_local_rederived(mode: ModeSpec, x):
 
 def vI_global_rederived(mode: ModeSpec, dx):
     """Global first-order velocity by quadrature of the rederived local PV."""
-    from scipy.integrate import quad
-
     if dx == 0:
         raise DegenerateInterval("dx must be nonzero")
-    dt, _ = quad(lambda x: np.divide(1.0, vI_local_rederived(mode, x)), 0.0, dx, limit=200)
-    return dx / dt
+
+    def slowness(x):
+        v = vI_local_rederived(mode, x)
+        if is_pole(1.0, v):
+            raise PoleOnPath("the rederived local PV vanishes inside the interval")
+        return 1.0 / float(v)
+
+    return dx / integrate(slowness, 0.0, dx)[0]
+
+
+# QUADPACK's dqk21 (Piessens et al., QUADPACK, Springer 1983) in doubles: the
+# Kronrod nodes on [0, 1] (odd entries: the 10 Gauss nodes), their weights and
+# the Gauss weights; DBL_EPSILON, DBL_MIN; quad's epsabs = epsrel and limit
+_XGK = (0.9956571630258081, 0.9739065285171717, 0.9301574913557082, 0.8650633666889845,
+        0.7808177265864169, 0.6794095682990244, 0.5627571346686047, 0.4333953941292472,
+        0.2943928627014602, 0.14887433898163122, 0.0)
+_WGK = (0.011694638867371874, 0.032558162307964725, 0.054755896574351995, 0.07503967481091996,
+        0.0931254545836976, 0.10938715880229764, 0.12349197626206584, 0.13470921731147334,
+        0.14277593857706009, 0.14773910490133849, 0.1494455540029169)
+_WG = (0.06667134430868814, 0.1494513491505806, 0.21908636251598204, 0.26926671930999635,
+       0.29552422471475287)
+_EPMACH, _UFLOW, QUAD_TOL, QUAD_LIMIT = 2.0**-52, 2.0**-1022, 1.49e-8, 200
+
+
+def _qk21(f, a, b):
+    """dqk21 on [a, b]: (result, abserr, resasc), summed in its order."""
+    centr, hlgth = 0.5 * (a + b), 0.5 * (b - a)
+    fc, fv = f(centr), [(f(centr - hlgth * x), f(centr + hlgth * x)) for x in _XGK[:10]]
+    resg, resk, resabs = 0.0, _WGK[10] * fc, abs(_WGK[10] * fc)
+    for j in (1, 3, 5, 7, 9, 0, 2, 4, 6, 8):  # the Gauss nodes first
+        (f1, f2), w = fv[j], _WGK[j]
+        resg = resg + _WG[j // 2] * (f1 + f2) if j % 2 else resg
+        resk, resabs = resk + w * (f1 + f2), resabs + w * (abs(f1) + abs(f2))
+    reskh = resk * 0.5
+    resasc = _WGK[10] * abs(fc - reskh)
+    for (f1, f2), w in zip(fv, _WGK):
+        resasc = resasc + w * (abs(f1 - reskh) + abs(f2 - reskh))
+    resabs, resasc, abserr = resabs * abs(hlgth), resasc * abs(hlgth), abs((resk - resg) * hlgth)
+    if resasc != 0.0 and abserr != 0.0:
+        abserr = resasc * min(1.0, (200.0 * abserr / resasc) ** 1.5)
+    if resabs > _UFLOW / (50.0 * _EPMACH):
+        abserr = max((_EPMACH * 50.0) * resabs, abserr)
+    return resk * hlgth, abserr, resasc
+
+
+def integrate(f, a, b):
+    """(integral of a float function f over [a, b], error estimate): where dqagse
+    accepts the first interval, ``scipy.integrate.quad(f, a, b, limit=200)[:2]``
+    bit for bit; else bisection without dqagse's extrapolation, largest error first."""
+    result, abserr, resasc = _qk21(f, a, b)
+    # dqagse's first test (its resabs is dqk21's resasc)
+    if abserr == 0.0 or abserr <= max(QUAD_TOL, QUAD_TOL * abs(result)) and abserr != resasc:
+        return result, abserr
+    parts = [(abserr, a, b, result)]
+    while len(parts) < QUAD_LIMIT:
+        _, lo, hi, _ = parts.pop(parts.index(max(parts)))
+        for u, v in ((lo, 0.5 * (lo + hi)), (0.5 * (lo + hi), hi)):
+            r, e, _ = _qk21(f, u, v)
+            parts.append((e, u, v, r))
+        result, abserr = math.fsum(p[3] for p in parts), math.fsum(p[0] for p in parts)
+        if abserr <= max(QUAD_TOL, QUAD_TOL * abs(result)):
+            return result, abserr
+    raise QuadratureLimit(f"no {QUAD_TOL:g} error bound in {QUAD_LIMIT} intervals")
 
 
 def sign_audit(mode: ModeSpec, x, dx):

@@ -75,22 +75,24 @@ class TrackedTrajectory:
         return global_velocity(self)
 
     def save_csv(self, path):
+        gv = self.global_velocity  # raises before the file is opened
         with open(path, "w") as fh:
             fh.write("t,x,v_local\n")
             for t, x, v in self.samples:
                 fh.write(f"{t:.15g},{x:.15g},{v:.15g}\n")
             fh.write(f"# terminated_by={self.terminated_by.value}\n")
-            fh.write(f"# global_velocity={self.global_velocity:.15g}\n")
+            fh.write(f"# global_velocity={gv:.15g}\n")
 
 
 def global_velocity(traj: TrackedTrajectory):
     """Averaged (total) velocity: net displacement over net elapsed time."""
     if len(traj.samples) < 2:
         raise DegenerateTrajectory("trajectory has fewer than 2 samples")
-    dt = traj.t[-1] - traj.t[0]
-    if dt == 0.0:
-        raise DegenerateTrajectory("trajectory spans zero time")
-    return (traj.x[-1] - traj.x[0]) / dt
+    with np.errstate(all="ignore"):  # a zero or subnormal time span
+        v = (traj.x[-1] - traj.x[0]) / (traj.t[-1] - traj.t[0])
+    if not np.isfinite(v):
+        raise DegenerateTrajectory("net displacement over net time is not finite")
+    return v
 
 
 def _probe(field, x, t, order):

@@ -235,6 +235,28 @@ class TestExitCodes:
                           "--xi", "1", "--out", str(tmp_path / "m.csv")])
         assert (proc.returncode, proc.stderr) == (1, b"error: DegenerateDenominator\n")
 
+    @pytest.mark.parametrize(
+        "argv, code, line",
+        [
+            # a subnormal ramp width overflows (x - center) / width
+            (["medium", "--n", "tanh:1,0.5,0,1e-320", "--c", "1", "--dx", "2", "--xi", "1",
+              "--out", "OUT"], 1, "error: DegenerateDenominator"),
+            (["boost", "--audit", "order1", "--resolution", "20", "--c", "inf", "--out", "OUT"],
+             2, "error: UsageError: light speed must be positive and finite"),
+            # the step is so short that displacement over time overflows
+            (["track", "--analytic", "trans:gauss,a=1", "--order", "0", "--level", "0.5",
+              "--seed-near", "1.0,0.0", "--t-end", "3", "--step", "1e-320", "--out", "OUT"],
+             1, "error: DegenerateTrajectory"),
+        ],
+        ids=["subnormal-ramp-width", "audit-infinite-light-speed", "subnormal-track-step"],
+    )
+    def test_edge_values_print_one_error_line(self, argv, code, line, tmp_path):
+        # in a child, so that numpy warnings would reach its stderr
+        out = tmp_path / "o.csv"
+        proc = run_child([str(out) if a == "OUT" else a for a in argv])
+        assert (proc.returncode, proc.stderr.decode()) == (code, line + "\n")
+        assert not out.exists()
+
     def test_unknown_flag_exits_2(self):
         assert run_child(["pv", "--frobnicate"]).returncode == 2
 
@@ -391,9 +413,21 @@ codes = [main(argv) for argv in json.loads(sys.argv[1])]
 print(json.dumps([codes, sorted(m for m in sys.modules if m.partition(".")[0] == "scipy")]))
 """
 
+# a finder that refuses every scipy module, as in an install without scipy
+BLOCK_SCIPY = """
+import sys
 
-def probe_scipy(recipes):
-    proc = run_python("-c", SCIPY_PROBE, json.dumps(recipes))
+class NoScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name.partition(".")[0] == "scipy":
+            raise ImportError(f"{name} is blocked")
+
+sys.meta_path.insert(0, NoScipy())
+"""
+
+
+def probe_scipy(recipes, prelude=""):
+    proc = run_python("-c", prelude + SCIPY_PROBE, json.dumps(recipes))
     assert proc.returncode == 0, proc.stderr.decode()
     return json.loads(proc.stdout.decode().splitlines()[-1])
 
@@ -404,51 +438,69 @@ def write_harmonic_csv(path):
     return str(path)
 
 
+def readme_recipes(tmp_path):
+    """The README recipes on small grids, except medium."""
+    field_csv = write_harmonic_csv(tmp_path / "field.csv")
+    out, sim = str(tmp_path / "out"), str(tmp_path / "sim.csv")
+    return [
+        ["pv", "--analytic", "damped:gauss,a=1,lambda=0.1", "--order", "1",
+         "--grid=-2,0.01,40x0,0.01,20", "--out", out],
+        ["pv", "--in", field_csv, "--order", "0", "--out", out],
+        # a sampled field read off its grid, and tracked: the local interpolant
+        ["pv", "--in", field_csv, "--order", "0", "--grid=-1.5,0.07,20x0.1,0.06,10",
+         "--out", out],
+        ["track", "--in", field_csv, "--order", "0", "--level", "0.5",
+         "--seed-near=-0.15,0.1", "--t-end", "0.5", "--out", out],
+        ["track", "--analytic", "trans:gauss,a=1", "--order", "0", "--level", "0.5",
+         "--seed-near", "1.0,0.0", "--t-end", "3", "--step", "0.05", "--out", out],
+        ["boost", "--add", "order0", "--v", "0.5", "--V", "0.5"],
+        ["boost", "--audit", "order1", "--resolution", "20", "--out", out],
+        ["simulate", "--grid=-5,0.05,200x0,0.04,50", "--initial", "gauss:-2.5,0.7",
+         "--gamma", "0.1", "--out", sim],
+        ["pv", "--in", sim, "--order", "0", "--out", out],
+        ["wavelength", "--analytic", "harmonic:omega=3,k=1.5",
+         "--grid", "0,0.05,400x0,0.05,9", "--out", out],
+    ]
+
+
+def medium_recipe(tmp_path):
+    return ["medium", "--n", "linear:1,0.1", "--c", "1", "--dx", "2", "--xi", "1,10,100",
+            "--out", str(tmp_path / "sep.csv")]
+
+
 class TestStartup:
-    """scipy is imported only where a PCHIP profile or a quadrature is built."""
+    """No command imports scipy: the package runs on numpy alone."""
 
     def test_scipy_free_recipes_do_not_import_scipy(self, tmp_path):
-        # the README recipes on small grids, except medium (quadrature)
-        field_csv = write_harmonic_csv(tmp_path / "field.csv")
-        out, sim = str(tmp_path / "out"), str(tmp_path / "sim.csv")
-        recipes = [
-            ["pv", "--analytic", "damped:gauss,a=1,lambda=0.1", "--order", "1",
-             "--grid=-2,0.01,40x0,0.01,20", "--out", out],
-            ["pv", "--in", field_csv, "--order", "0", "--out", out],
-            # a sampled field read off its grid, and tracked: the local interpolant
-            ["pv", "--in", field_csv, "--order", "0", "--grid=-1.5,0.07,20x0.1,0.06,10",
-             "--out", out],
-            ["track", "--in", field_csv, "--order", "0", "--level", "0.5",
-             "--seed-near=-0.15,0.1", "--t-end", "0.5", "--out", out],
-            ["track", "--analytic", "trans:gauss,a=1", "--order", "0", "--level", "0.5",
-             "--seed-near", "1.0,0.0", "--t-end", "3", "--step", "0.05", "--out", out],
-            ["boost", "--add", "order0", "--v", "0.5", "--V", "0.5"],
-            ["boost", "--audit", "order1", "--resolution", "20", "--out", out],
-            ["simulate", "--grid=-5,0.05,200x0,0.04,50", "--initial", "gauss:-2.5,0.7",
-             "--gamma", "0.1", "--out", sim],
-            ["pv", "--in", sim, "--order", "0", "--out", out],
-            ["wavelength", "--analytic", "harmonic:omega=3,k=1.5",
-             "--grid", "0,0.05,400x0,0.05,9", "--out", out],
-        ]
+        recipes = readme_recipes(tmp_path)
         assert probe_scipy(recipes) == [[0] * len(recipes), []]
 
-    def test_quadrature_recipe_imports_scipy(self, tmp_path):
-        argv = ["medium", "--n", "linear:1,0.1", "--c", "1", "--dx", "2", "--xi", "1,10",
-                "--out", str(tmp_path / "o.csv")]
-        codes, loaded = probe_scipy([argv])
-        assert codes == [0]
-        assert "scipy.integrate" in loaded
+    def test_quadrature_recipe_does_not_import_scipy(self, tmp_path):
+        assert probe_scipy([medium_recipe(tmp_path)]) == [[0], []]
 
-    def test_tabulated_index_imports_scipy(self):
+    def test_tabulated_index_does_not_import_scipy(self):
         proc = run_python(
             "-c",
             "import sys\n"
             "from locpv import TabulatedIndex\n"
-            "assert 'scipy' not in sys.modules\n"
             "print(TabulatedIndex([0.0, 1.0, 2.0], [1.0, 1.5, 1.2]).n(1.0))\n"
-            "assert 'scipy.interpolate' in sys.modules\n",
+            "assert 'scipy' not in sys.modules\n",
         )
         assert (proc.returncode, proc.stdout, proc.stderr) == (0, b"1.5\n", b"")
+
+    def test_recipes_run_with_scipy_blocked(self, tmp_path):
+        recipes = readme_recipes(tmp_path) + [medium_recipe(tmp_path)]
+        prelude = BLOCK_SCIPY + (
+            "try:\n    import scipy.integrate\nexcept ImportError:\n    pass\n"
+            "else:\n    sys.exit('scipy was not blocked')\n"
+            "from locpv import TabulatedIndex\n"
+            "TabulatedIndex([0.0, 1.0, 2.0], [1.0, 1.5, 1.2]).series(1.0, 3)\n"
+        )
+        assert probe_scipy(recipes, prelude) == [[0] * len(recipes), []]
+        unblocked = tmp_path / "unblocked"
+        unblocked.mkdir()
+        assert run_cli(medium_recipe(unblocked)) == 0
+        assert (tmp_path / "sep.csv").read_bytes() == (unblocked / "sep.csv").read_bytes()
 
 
 class TestDeterminism:

@@ -1,7 +1,7 @@
 """Layering: no locpv module reaches into another module's private names,
 every module uses each name it imports, the velocity modules decide poles
-only through ``phasevel.is_pole``, no module imports scipy when it is
-loaded, and only the jet recorder compiles and runs code."""
+only through ``phasevel.is_pole``, no module imports scipy, and only the jet
+recorder compiles and runs code."""
 
 import ast
 from pathlib import Path
@@ -231,32 +231,24 @@ def test_threshold_checker_allows_named_and_exact_values(source):
     assert literal_thresholds(source) == []
 
 
-def load_time_imports(source):
-    """(line, module) of each import of scipy that runs when the module is
-    loaded: every one outside a function body."""
+def scipy_imports(source):
+    """(line, module) of each import of scipy, function bodies included."""
     found = []
-
-    def visit(node):
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                continue
-            if isinstance(child, ast.Import):
-                found.extend((child.lineno, a.name) for a in child.names
-                             if a.name.split(".")[0] == "scipy")
-            elif (isinstance(child, ast.ImportFrom) and child.level == 0
-                  and child.module.split(".")[0] == "scipy"):
-                found.append((child.lineno, child.module))
-            visit(child)
-
-    visit(ast.parse(source))
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found.extend((node.lineno, a.name) for a in node.names
+                         if a.name.split(".")[0] == "scipy")
+        elif (isinstance(node, ast.ImportFrom) and node.level == 0
+              and node.module.split(".")[0] == "scipy"):
+            found.append((node.lineno, node.module))
     return found
 
 
-# scipy.interpolate alone takes most of a second to import; the commands that
-# build no spline or quadrature start without it
+# the package runs on numpy alone: no module imports scipy, when it is loaded
+# or later
 @pytest.mark.parametrize("module", MODULES)
 def test_no_module_imports_scipy_when_loaded(module):
-    assert load_time_imports((PACKAGE / f"{module}.py").read_text()) == []
+    assert scipy_imports((PACKAGE / f"{module}.py").read_text()) == []
 
 
 @pytest.mark.parametrize(
@@ -267,25 +259,18 @@ def test_no_module_imports_scipy_when_loaded(module):
         ("import scipy", ["scipy"]),
         ("class A:\n    from scipy.integrate import quad", ["scipy.integrate"]),
         ("try:\n    import scipy\nexcept ImportError:\n    pass", ["scipy"]),
+        ("def f():\n    from scipy.interpolate import PchipInterpolator", ["scipy.interpolate"]),
+        ("class A:\n    def f(self):\n        import scipy.integrate", ["scipy.integrate"]),
+        ("async def f():\n    import scipy", ["scipy"]),
     ],
-    ids=["from", "alias", "package", "class-body", "try"],
+    ids=["from", "alias", "package", "class-body", "try", "function", "method", "async"],
 )
 def test_load_time_checker_finds_scipy_imports(source, modules):
-    assert [m for _, m in load_time_imports(source)] == modules
+    assert [m for _, m in scipy_imports(source)] == modules
 
 
-@pytest.mark.parametrize(
-    "source",
-    [
-        "def f():\n    from scipy.interpolate import PchipInterpolator",
-        "class A:\n    def f(self):\n        import scipy.integrate",
-        "async def f():\n    import scipy",
-        "import scipyx\nfrom .scipy import quad\nimport numpy",
-    ],
-    ids=["function", "method", "async", "other-packages"],
-)
-def test_load_time_checker_allows_imports_in_functions(source):
-    assert load_time_imports(source) == []
+def test_scipy_import_checker_allows_other_packages():
+    assert scipy_imports("import scipyx\nfrom .scipy import quad\nimport numpy") == []
 
 
 def code_runs(source):

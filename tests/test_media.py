@@ -1,9 +1,11 @@
 """Refractive-medium transit relations, printed vs rederived first order."""
 
+import math
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
-from scipy.interpolate import CubicHermiteSpline
+from scipy.interpolate import CubicHermiteSpline, PchipInterpolator
 from scipy.optimize import brentq
 
 import locpv.field
@@ -12,6 +14,7 @@ from locpv.errors import (
     DegenerateInterval,
     NonpositiveLogArgument,
     PoleOnPath,
+    QuadratureLimit,
 )
 from locpv.media import (
     ConstantIndex,
@@ -20,6 +23,7 @@ from locpv.media import (
     TabulatedIndex,
     TanhRampIndex,
     dynamic_separation,
+    integrate,
     save_separation_csv,
     sign_audit,
     transit_time,
@@ -56,10 +60,103 @@ class TestProfiles:
             TanhRampIndex(1.0, 0.5, width=0.0)
         with pytest.raises(ValueError):
             TabulatedIndex([0, 1, 2], [1.0, -0.5, 1.0])
+        # one point, unequal lengths, a repeated x, x not increasing, a nan
+        for xs, ns in [([0.0], [1.0]), ([0, 1, 2], [1.0, 1.1]), ([0, 1, 1], [1.0, 1.1, 1.2]),
+                       ([0, 2, 1], [1.0, 1.1, 1.2]), ([0, 1, 2], [1.0, np.nan, 1.2])]:
+            with pytest.raises(ValueError):
+                TabulatedIndex(xs, ns)
 
     def test_mode_spec_requires_nonzero_xi(self):
         with pytest.raises(ValueError):
             ModeSpec(0.0, ConstantIndex(1.0))
+
+
+_RNG = np.random.default_rng(3)
+
+
+class TestTabulatedPchip:
+    """TabulatedIndex against scipy's PchipInterpolator, its reference."""
+
+    @pytest.mark.parametrize(
+        "xs, ns",
+        [
+            ([0.0, 1.0], [1.0, 1.5]),
+            ([0.0, 1.0, 2.0], [1.0, 1.5, 1.2]),
+            ([0.0, 1.0, 3.0], [1.0, 1.0, 2.0]),
+            ([0.0, 2.0, 2.5], [2.0, 1.8, 4.3]),
+            ([0.0, 1.0, 2.0], [1.0, 1.1, 3.1]),
+            (np.linspace(-3, 3, 40), 1.0 + 0.3 / (1 + np.linspace(-3, 3, 40) ** 2)),
+            # uneven steps, flat runs and a secant slope that changes sign often
+            (np.cumsum(_RNG.uniform(0.05, 1.0, 40)), np.round(_RNG.uniform(1.0, 2.0, 40), 1)),
+        ],
+        ids=["2-point", "3-point-turn", "3-point-flat", "end-slope-clamped", "end-slope-zeroed",
+             "40-point-smooth", "40-point-rough"],
+    )
+    def test_series_matches_scipy_pchip(self, xs, ns):
+        ref, medium = PchipInterpolator(xs, ns), TabulatedIndex(xs, ns)
+        # inside the table, at its knots and extrapolated on both sides
+        q = np.concatenate([np.linspace(xs[0] - 1.5, xs[-1] + 1.5, 301), xs])
+        got = medium.series(q, 5)
+        for k in range(4):
+            want = ref.derivative(k)(q) / math.factorial(k)
+            np.testing.assert_allclose(got[k], want, rtol=0, atol=1e-13 * (1 + abs(want).max()))
+        assert not np.any(got[4]) and not np.any(got[5])
+        for i in range(0, len(q), 37):
+            assert [float(c) for c in medium.series(q[i], 5)] == [c[i] for c in got]
+
+
+def _slowness(mode):
+    return lambda x: 1.0 / vI_local_rederived(mode, x)
+
+
+class TestQuadrature:
+    """media.integrate against scipy.integrate.quad, its reference."""
+
+    @pytest.mark.parametrize(
+        "medium",
+        [
+            ConstantIndex(1.5),
+            LinearIndex(1.0, 0.1),
+            LinearIndex(1.3, -0.05),
+            TanhRampIndex(1.0, 0.5, center=1.0, width=0.8),
+            TabulatedIndex(np.linspace(-2, 6, 5), 1.2 + 0.1 * np.sin(np.linspace(-2, 6, 5))),
+        ],
+        ids=["constant", "linear", "linear-falling", "tanh", "tabulated"],
+    )
+    def test_first_interval_matches_quad_bitwise(self, medium):
+        for dx in (-1.0, 0.25, 1.0, 2.0):
+            for xi in np.geomspace(0.5, 400.0, 8):
+                mode = ModeSpec(float(xi), medium)
+                value, err, info = quad(_slowness(mode), 0.0, dx, limit=200, full_output=1)
+                assert info["last"] == 1
+                assert integrate(_slowness(mode), 0.0, dx) == (value, err)
+                assert vI_global_rederived(mode, dx) == dx / value
+
+    @pytest.mark.parametrize("xi", [1.0, 10.0, 100.0])
+    def test_bisection_agrees_with_quad_within_its_error(self, xi):
+        # a ramp 100 times narrower than the path: quad splits it into 10-12
+        # intervals and extrapolates; the port bisects without extrapolation
+        mode = ModeSpec(xi, TanhRampIndex(1.0, 0.5, center=0.7, width=0.01))
+        value, err, info = quad(_slowness(mode), 0.0, 2.0, limit=200, full_output=1)
+        assert info["last"] > 1
+        got, got_err = integrate(_slowness(mode), 0.0, 2.0)
+        assert abs(got - value) <= err
+        assert got_err <= 1.49e-8 * abs(got)
+
+    def test_interval_limit_raises(self):
+        # PCHIP's second derivative jumps at each of the 41 knots and the
+        # rederived PV with it; each jump takes about 27 bisections
+        xs = np.linspace(0.0, 2.0, 41)
+        mode = ModeSpec(3.0, TabulatedIndex(xs, 1.2 + 0.02 * np.sin(7.0 * xs)))
+        with pytest.raises(QuadratureLimit) as exc:
+            vI_global_rederived(mode, 2.0)
+        assert exc.value.token == "QuadratureLimit"
+
+    def test_vanishing_local_velocity_is_a_pole_on_path(self):
+        # (x*n)' = 1 - x vanishes at x = 1, and the rederived PV with it, so
+        # the integrand 1/v has a pole there
+        with pytest.raises(PoleOnPath):
+            vI_global_rederived(ModeSpec(10.0, LinearIndex(1.0, -0.5)), 2.1)
 
 
 class TestZeroOrder:
