@@ -166,9 +166,15 @@ def parse_initial(text):
     center = vals[0]
     width = vals[1] if len(vals) > 1 else 1.0
     amp = vals[2] if len(vals) > 2 else 1.0
-    if width == 0:
-        raise UsageError(f"initial width must be nonzero in {text!r}")
-    return lambda x: amp * np.exp(-(((x - center) / width) ** 2))
+    if width == 0 or not np.isfinite(vals).all():
+        raise UsageError(f"initial width must be nonzero and values finite in {text!r}")
+
+    def profile(x):
+        # far out, (x - center) / width overflows to inf, where the float Gaussian is 0
+        with np.errstate(over="ignore"):
+            return amp * np.exp(-(((x - center) / width) ** 2))
+
+    return profile
 
 
 # ---------------------------------------------------------------------------

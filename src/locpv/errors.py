@@ -72,4 +72,4 @@ class CFLViolation(LocpvError):
 
 
 class NonfiniteBlowup(LocpvError):
-    """Simulated field exceeded the runaway guard magnitude."""
+    """Simulated field exceeded the runaway guard magnitude or turned non-finite."""

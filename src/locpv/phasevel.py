@@ -81,8 +81,10 @@ def pv_from_jet(jet, order):
 
 
 def pv_point(field, x, t, order):
-    """Local N-th order phase velocity at one point; None where undefined."""
-    return pv_from_jet(field.jet(x, t, order + 1), order)
+    """Local N-th order phase velocity at one point; None where undefined,
+    outside a custom field's domain too, without numpy warnings."""
+    with np.errstate(all="ignore"):
+        return pv_from_jet(field.jet(x, t, order + 1), order)
 
 
 def _deriv_arrays(field, grid, order):
@@ -106,15 +108,21 @@ def pv_field(field, grid: Grid1x1, order: int, eps_den=None) -> PhaseVelocityFie
     if eps_den is not None and not 0 <= eps_den < np.inf:
         raise ValueError("eps_den must be finite and >= 0")
     num, den = _deriv_arrays(field, grid, order)
+    a = np.abs(den)
     if eps_den is None:
-        finite = np.abs(den[np.isfinite(den)])
-        scale = finite.max() if finite.size else 0.0
+        scale = np.max(a, where=a < np.inf, initial=0.0)
         eps_den = max(EPS_DEN_FLOOR, EPS_DEN_REL * scale)
-    with np.errstate(invalid="ignore"):
-        mask = np.isfinite(num) & np.isfinite(den) & (np.abs(den) >= eps_den)
-        mask &= ~is_pole(num, den)
-    values = np.full(num.shape, np.nan)
-    np.divide(-num, den, out=values, where=mask)
+    # finite num and den, |den| >= eps_den and not is_pole, 16 rows at a time
+    mask = np.empty(a.shape, bool)
+    for b in range(0, len(a), 16):
+        d, thr = a[b : b + 16], np.abs(num[b : b + 16])
+        thr *= EPS_POLE_REL
+        m = np.greater_equal(d, thr, out=mask[b : b + 16])
+        m &= d >= max(eps_den, EPS_DEN_FLOOR)
+        m &= d < np.inf  # and so thr < inf, as d >= thr
+    values = a  # a's buffer, reused; -(num / den) has the bits of -num / den
+    values.fill(np.nan)
+    np.negative(np.divide(num, den, out=values, where=mask), out=values, where=mask)
     return PhaseVelocityField(order, grid, values, mask, float(eps_den))
 
 

@@ -48,6 +48,8 @@ class BoostFrame:
     def __post_init__(self):
         if not self.c > 0:
             raise ValueError("light speed must be positive")
+        if self.c < np.inf and not 0 < self.c * self.c < np.inf:  # the rules divide by c**2
+            raise ValueError("light speed squared must be a positive finite float")
         if not abs(self.V) < self.c:
             raise ValueError("frame speed must satisfy |V| < c")
 

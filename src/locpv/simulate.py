@@ -66,32 +66,35 @@ def _laplacian(u, periodic, out):
 
 def _first_step(spec: SimSpec, psi0, v0, a2, periodic):
     # Taylor start: psi(dt) = psi0 + dt*v0 + dt^2/2*(a^2 lap - 2*gamma*v0)
+    # without warnings: the leapfrog's guard stops a row that a non-finite psi(dt) spoils
     dt = spec.domain.dt
-    lap = _laplacian(psi0, periodic, np.empty_like(psi0)) / spec.domain.dx ** 2
-    acc = a2 * lap - 2.0 * spec.gamma * v0
-    return psi0 + dt * v0 + 0.5 * dt * dt * acc
+    with np.errstate(all="ignore"):
+        lap = _laplacian(psi0, periodic, np.empty_like(psi0)) / spec.domain.dx ** 2
+        acc = a2 * lap - 2.0 * spec.gamma * v0
+        return psi0 + dt * v0 + 0.5 * dt * dt * acc
 
 
 def _leapfrog(psi, a2, dt, dx, gamma, periodic):
     """Fill rows 2..nt-1 of psi in place from rows 0 and 1.
 
     Update: (1+g*dt)*psi^{n+1} = 2*psi^n - (1-g*dt)*psi^{n-1} + dt^2*a^2*lap.
-    Returns the index of the first row past BLOWUP_GUARD, or -1.
+    Returns the index of the first row past BLOWUP_GUARD or not finite, or -1.
     """
     nt, nx = psi.shape
     r = (dt * dt) / (dx * dx)
     cp = 1.0 + gamma * dt
     cm = 1.0 - gamma * dt
     lap = np.empty(nx)
-    for n in range(1, nt - 1):
-        cur = psi[n]
-        _laplacian(cur, periodic, lap)
-        psi[n + 1] = (2.0 * cur - cm * psi[n - 1] + r * a2 * lap) / cp
-        if not periodic:
-            psi[n + 1, 0] = 0.0
-            psi[n + 1, -1] = 0.0
-        if np.max(np.abs(psi[n + 1])) > BLOWUP_GUARD:
-            return n + 1
+    with np.errstate(all="ignore"):  # the guard below stops at an inf or a nan
+        for n in range(1, nt - 1):
+            cur = psi[n]
+            _laplacian(cur, periodic, lap)
+            psi[n + 1] = (2.0 * cur - cm * psi[n - 1] + r * a2 * lap) / cp
+            if not periodic:
+                psi[n + 1, 0] = 0.0
+                psi[n + 1, -1] = 0.0
+            if not np.max(np.abs(psi[n + 1])) <= BLOWUP_GUARD:
+                return n + 1
     return -1
 
 

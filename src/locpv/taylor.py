@@ -184,12 +184,18 @@ class Taylor2:
         if (tape := next((v.tape for v in a + b if type(v) is _Var), None)) is not None:
             return Taylor2._of(tape.product(a, b, self.order), self.order, ())  # a recording
         out = [0.0] * len(a)
+        zeros = {j for j, bj in enumerate(b) if type(bj) is float and bj == 0.0}
         for ai, terms in zip(a, _product_terms(self.order)):
             # a zero adds nothing, even where b is inf or nan
             if not (ai.any() if type(ai) is np.ndarray else ai != 0.0):
                 continue
+            # nor does an array ai finite everywhere times a float zero: the
+            # term is +-0.0, which a sum from +0.0 absorbs, and out[k] stays a
+            # float for later products to skip
+            skip = zeros if zeros and type(ai) is np.ndarray and np.isfinite(ai).all() else ()
             for j, k in terms:
-                out[k] = out[k] + ai * b[j]
+                if j not in skip:
+                    out[k] = out[k] + ai * b[j]
         return Taylor2._of(out, self.order, _broadcast(self.shape, other.shape))
 
     def __rmul__(self, other):

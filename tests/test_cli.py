@@ -247,15 +247,36 @@ class TestExitCodes:
             (["track", "--analytic", "trans:gauss,a=1", "--order", "0", "--level", "0.5",
               "--seed-near", "1.0,0.0", "--t-end", "3", "--step", "1e-320", "--out", "OUT"],
              1, "error: DegenerateTrajectory"),
+            # c**2 underflows to 0, and overflows, where the addition rules divide by it
+            (["boost", "--audit", "order0", "--resolution", "20", "--c", "1e-320", "--out", "OUT"],
+             2, "error: UsageError: light speed squared must be a positive finite float"),
+            (["boost", "--add", "order1", "--v", "0.5", "--V", "0.2", "--c", "1e200"],
+             2, "error: UsageError: light speed squared must be a positive finite float"),
+            # the Gaussian's float value is 0 wherever (x - center) / width
+            # overflows: the run goes on, silently
+            (["simulate", "--grid=-5,0.025,400x0,0.02,400", "--initial", "gauss:-2.5,1e-320",
+              "--out", "OUT"], 0, None),
+            (["simulate", "--grid=-5,0.025,400x0,0.02,400", "--initial", "gauss:1e308,0.7",
+              "--out", "OUT"], 0, None),
+            (["simulate", "--grid=-5,0.025,400x0,0.02,400", "--initial", "gauss:0,1,inf",
+              "--out", "OUT"],
+             2, "error: UsageError: initial width must be nonzero and values finite in "
+                "'gauss:0,1,inf'"),
+            # 2 * gamma * psi_t overflows: the first step is inf and nan
+            (["simulate", "--grid=-5,0.025,400x0,0.02,400", "--initial", "gauss:-2.5,0.5",
+              "--gamma=1e308", "--out", "OUT"], 1, "error: NonfiniteBlowup"),
         ],
-        ids=["subnormal-ramp-width", "audit-infinite-light-speed", "subnormal-track-step"],
+        ids=["subnormal-ramp-width", "audit-infinite-light-speed", "subnormal-track-step",
+             "audit-subnormal-light-speed", "add-huge-light-speed", "subnormal-initial-width",
+             "far-initial-center", "infinite-initial-amplitude", "huge-gamma"],
     )
     def test_edge_values_print_one_error_line(self, argv, code, line, tmp_path):
-        # in a child, so that numpy warnings would reach its stderr
+        # in a child, so that numpy warnings would reach its stderr; a None
+        # line means exit 0 with an empty stderr and the output written
         out = tmp_path / "o.csv"
         proc = run_child([str(out) if a == "OUT" else a for a in argv])
-        assert (proc.returncode, proc.stderr.decode()) == (code, line + "\n")
-        assert not out.exists()
+        assert (proc.returncode, proc.stderr.decode()) == (code, line + "\n" if line else "")
+        assert out.exists() == (line is None)
 
     def test_unknown_flag_exits_2(self):
         assert run_child(["pv", "--frobnicate"]).returncode == 2

@@ -5,6 +5,7 @@ import pickle
 import numpy as np
 import pytest
 
+import locpv.field
 from locpv.errors import OutOfDomain, StencilClipped
 from locpv.field import (
     CustomField,
@@ -154,6 +155,27 @@ class TestFiniteDifferences:
         tx = _diff_axis(_diff_axis(s.values, g.dt, 1, 0), g.dx, 1, 1)
         xt = _diff_axis(_diff_axis(s.values, g.dx, 1, 1), g.dt, 1, 0)
         assert np.max(np.abs(tx - xt)) < 1e-10
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    @pytest.mark.parametrize("axis", [0, 1])
+    def test_interior_equals_the_sum_of_its_terms_bitwise(self, m, axis):
+        # in blocks of rows and more than one block; the central m = 1 and m = 3
+        # stencils weigh a node by 0.0, so [+0.0, -1.0, -0.0] makes every term
+        # -0.0, whose sum from 0 is +0.0
+        rng = np.random.default_rng(m)
+        values = rng.normal(size=(40, 37))
+        values[rng.random(values.shape) < 0.3] = 0.0
+        values[5:, 7:] *= np.sign(rng.normal(size=(35, 30)))
+        values[10, :3] = values[:3, 10] = [0.0, -1.0, -0.0]
+        values[20:23, 20:23] = [[0.0, -1.0, -0.0]] * 3
+        half = (m + 1) // 2
+        offsets = np.arange(-half, half + 1)
+        w = locpv.field.fd_weights(0.0, offsets, m) / 0.1 ** m
+        v = np.moveaxis(values, axis, 0)
+        n = v.shape[0]
+        expected = sum(wk * v[half + o : n - half + o] for wk, o in zip(w, offsets))
+        got = np.moveaxis(_diff_axis(values, 0.1, m, axis), axis, 0)[half : n - half]
+        np.testing.assert_array_equal(got.view(np.uint64), expected.view(np.uint64))
 
     def test_out_of_domain_and_clipped(self):
         g = Grid1x1(0.0, 0.1, 21, 0.0, 0.1, 21)

@@ -1,8 +1,14 @@
 """Phase-velocity formulas, masks, spectra, and the classical diagnostics."""
 
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+import locpv.phasevel
 from locpv.errors import NotOscillatory, OrderTooHigh
 from locpv.field import (
     CustomField,
@@ -14,6 +20,8 @@ from locpv.field import (
     sample,
 )
 from locpv.phasevel import (
+    EPS_DEN_FLOOR,
+    EPS_DEN_REL,
     classical_diagnostics,
     damped_spectrum,
     is_pole,
@@ -42,6 +50,11 @@ class TestPvPoint:
     def test_damped_off_peak_value(self):
         fld = DampedTranslational(1.0, 0.1)
         assert pv_point(fld, 0.0, 0.5, 0) == pytest.approx(1.1, abs=1e-12)
+
+    def test_outside_a_custom_domain_is_none_without_warnings(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert pv_point(CustomField("log(x)*exp(-t*t)"), -1.0, 0.3, 0) is None
 
     def test_order_too_high(self):
         with pytest.raises(OrderTooHigh):
@@ -128,6 +141,57 @@ class TestPvField:
         g = Grid1x1(-0.9, 0.01, 80, 0.0, 0.01, 5)
         pvf = pv_field(DampedTranslational(1.0, -2.0), g, 0)
         assert np.nanmin(pvf.values[pvf.mask]) < 0.0
+
+
+_MASK_EDGES = [np.nan, np.inf, -np.inf, 0.0, -0.0, 5e-324, -5e-324, 1e-300, -1e-300,
+               1e308, -1e308]
+_MASK_VALUES = st.sampled_from(_MASK_EDGES) | st.floats(-1e3, 1e3)
+
+
+class _Arrays:
+    """A field whose sweep reads the given num and den arrays."""
+
+    nmax = 0
+
+    def __init__(self, num, den):
+        self.arrays = num, den
+
+
+class TestSweepMask:
+    @given(st.lists(st.tuples(_MASK_VALUES, _MASK_VALUES), min_size=1, max_size=24),
+           st.sampled_from([None, 0.0, 1e-300, 1e-9, 0.5, 1e300]))
+    def test_mask_is_finite_floored_and_not_a_pole(self, pairs, eps_den):
+        # every pair of edge values, then the drawn pairs
+        num, den = (np.concatenate([edges.ravel(), v]) for edges, v in
+                    zip(np.meshgrid(_MASK_EDGES, _MASK_EDGES), zip(*pairs)))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(locpv.phasevel, "_deriv_arrays", lambda field, grid, order: field.arrays)
+            pvf = pv_field(_Arrays(num, den), None, 0, eps_den)
+        if eps_den is None:  # the largest finite |den|
+            finite = np.abs(den[np.isfinite(den)])
+            eps_den = max(EPS_DEN_FLOOR, EPS_DEN_REL * (finite.max() if finite.size else 0.0))
+        assert np.float64(pvf.eps_den).view(np.uint64) == np.float64(eps_den).view(np.uint64)
+        mask = np.isfinite(num) & np.isfinite(den) & (np.abs(den) >= eps_den)
+        mask &= ~is_pole(num, den)
+        np.testing.assert_array_equal(pvf.mask, mask)
+        values = np.full(num.shape, np.nan)
+        np.divide(-num, den, out=values, where=mask)
+        np.testing.assert_array_equal(pvf.values.view(np.uint64), values.view(np.uint64))
+
+    @pytest.mark.parametrize("order", [0, 1])
+    def test_sweep_of_cached_fd_grids_allocates_little(self, order):
+        # num and den are the field's cached grids; the values and the mask
+        # take 1.125 grids more, the temporaries of a 16-row block little
+        g = Grid1x1(-3.0, 0.01, 600, 0.0, 0.008, 400)
+        s = sample(DampedTranslational(1.0, 0.1), g)
+        pv_field(s, g, order)
+        tracemalloc.start()
+        try:
+            pv_field(s, g, order)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * g.nt * g.nx * 8
 
 
 class TestIsPole:

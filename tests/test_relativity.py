@@ -53,6 +53,11 @@ class TestBoostEvent:
             BoostFrame(1.0, 1.0)
         with pytest.raises(ValueError):
             BoostFrame(0.5, -1.0)
+        # the rules divide by c**2, which underflows or overflows here
+        for c in (1e-320, 1e-200, 1e200):
+            with pytest.raises(ValueError, match="squared"):
+                BoostFrame(0.0, c)
+        assert add_v0(BoostFrame(0.5, np.inf), 0.25) == 0.75  # the Galilean limit
 
 
 class TestAddV0:

@@ -63,6 +63,13 @@ class TestContracts:
         with pytest.raises(NonfiniteBlowup):
             run(spec)
 
+    def test_nan_rows_end_the_run_without_warnings(self):
+        # 2 * gamma * psi_t overflows, so the first step holds inf and nan; a
+        # nan row stops at the guard, which max(|row|) > guard alone misses
+        g = Grid1x1(-5.0, 0.05, 100, 0.0, 0.04, 10)
+        with pytest.raises(NonfiniteBlowup, match="at step 2"):
+            run(SimSpec(g, 1.0, 1e308, gauss_pulse, gauss_pulse_dx))
+
 
 class TestAccuracy:
     def test_rigid_translation_matches_dalembert(self):

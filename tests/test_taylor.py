@@ -179,6 +179,15 @@ def _operand(rng, shape):
     return c
 
 
+def _float_zero_operand(rng, m, shape):
+    """A batched jet whose coefficients are Python float zeros of either sign,
+    arrays finite everywhere, and arrays that hold special values."""
+    kinds = rng.integers(0, 3, (m + 1) * (m + 2) // 2)
+    flat = [(0.0, -0.0)[rng.integers(2)] if k == 0 else
+            rng.normal(size=shape) if k == 1 else _operand(rng, shape) for k in kinds]
+    return Taylor2._of(flat, m, shape)
+
+
 @pytest.mark.parametrize("m", range(6))
 def test_product_matches_the_quadruple_loop(m):
     rng = np.random.default_rng(m)
@@ -190,6 +199,34 @@ def test_product_matches_the_quadruple_loop(m):
             ab[m, 0] = 0.0  # a coefficient that is zero at every point
             for x, y in [(a, b), (ab, b), (a, ab), (ab, ab[..., ::-1]), (ab, bb)]:
                 assert_same_bits((Taylor2(x) * Taylor2(y)).coef, quadruple_loop_product(x, y))
+            # float zeros on the right, against batched left coefficients that
+            # are finite everywhere (the term is skipped) or hold an inf or a nan
+            x, y = _float_zero_operand(rng, m, (3,)), _float_zero_operand(rng, m, (2, 1))
+            xs, ts = Taylor2.variables(_operand(rng, (3,)), rng.normal(size=(2, 1)), m)
+            zeros = Taylor2.constant(0.0, m, (3,))
+            for u, v in [(x, y), (y, x), (x, x), (xs, ts), (ts * xs, xs), (x, zeros), (xs, y)]:
+                assert_same_bits((u * v).coef, quadruple_loop_product(u.coef, v.coef))
+
+
+def test_batched_structural_zeros_stay_floats(monkeypatch):
+    # in the gauss envelope's u * u, with u = t - x/a, only the value and the
+    # coefficients of dx and dt vary over the grid: those of order 2 are
+    # constants and those of order 3 to 5 are zero
+    squares, multiply = [], Taylor2.__mul__
+
+    def recording(a, b):
+        out = multiply(a, b)
+        if a is b:
+            squares.append(out)
+        return out
+
+    monkeypatch.setattr(Taylor2, "__mul__", recording)
+    xs, ts = np.linspace(-2.0, 2.0, 40), np.linspace(0.0, 1.0, 20)[:, None]
+    Translational(1.3, "gauss").jet_batch(xs, ts, 5)
+    (square,) = squares
+    arrays = [k for k, v in enumerate(square.flat) if type(v) is np.ndarray]
+    assert arrays == [0, 1, 6]  # (0, 0), (0, 1) and (1, 0)
+    assert all(type(v) is float for k, v in enumerate(square.flat) if k not in arrays)
 
 
 @pytest.mark.parametrize("m", range(1, 6))
