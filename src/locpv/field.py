@@ -4,8 +4,8 @@ Two kinds of field are supported: closed-form analytic families, whose jets
 (truncated Taylor series) are recorded once per order as float code, and
 uniformly sampled grids differentiated by central finite-difference stencils
 and read off the grid through a local 4x4 Lagrange cubic.  Both answer
-``eval``, ``jet`` and ``jet_batch`` (nan outside the domain, where ``jet``
-raises OutOfDomain).
+``eval``, ``jet``, ``partials`` and ``jet_batch`` (nan outside the domain,
+where ``jet`` and ``partials`` raise OutOfDomain).
 """
 
 from __future__ import annotations
@@ -52,6 +52,7 @@ __all__ = [
 
 ANALYTIC_NMAX = 4   # highest PV order for closed-form fields
 SAMPLED_NMAX = 2    # FD noise makes mixed partials beyond 3rd order unreliable
+SEED_BRACKET = 8.0  # largest half-width of find_seed's scan on analytic fields
 # CSV values keep 15 significant digits, which round-trip through a double
 # except this close to the largest one: they would round past it, to inf
 _G15_MAX = 1.79769313486231e308
@@ -158,6 +159,8 @@ class AnalyticField:
     which ``jet`` records once per order (``taylor.straight_line``)."""
 
     nmax = ANALYTIC_NMAX
+    seed_scan = SEED_BRACKET, 1e-10 * SEED_BRACKET  # find_seed's largest half-width, xtol
+    seed_rtol = 1e-6  # ``track``'s seed tolerance, relative to max(1, |target|)
 
     def expr(self, xs: Taylor2, ts: Taylor2) -> Taylor2:
         raise NotImplementedError
@@ -170,14 +173,31 @@ class AnalyticField:
         if not 0 <= order <= self.nmax + 1:
             raise OrderTooHigh(f"analytic fields support jets of order 0..{self.nmax + 1}")
 
-    def jet(self, x, t, order) -> Jet:
+    def _recorded(self, order):
+        """The jet of an order as recorded code, recorded at its first use."""
         try:
-            fn = self._jets[order]
+            return self._jets[order]
         except (AttributeError, KeyError):
             self._check_order(order)
             fn = self.__dict__.setdefault("_jets", {})[order] = straight_line(self.expr, order)
+            return fn
+
+    def jet(self, x, t, order) -> Jet:
+        fn = self._recorded(order)
         x, t = float(x), float(t)
         return Jet(x, t, order, fn(x, t))
+
+    def partials(self, x, t, order):
+        """(d^N psi/dx^N, d^{N+1} psi/dx^{N+1}, d^{N+1} psi/dt dx^N) at one point, N =
+        order: entries (0, N), (0, N+1) and (1, N) of ``jet(x, t, order + 1)``, bit for bit."""
+        if order < 0:
+            raise OrderTooHigh(f"phase velocity orders start at 0, not {order}")
+        flat = self._recorded(order + 1)(float(x), float(t))
+        return flat[order], flat[order + 1], flat[2 * order + 2]
+
+    def default_step(self, span):
+        """``track``'s step over a time span, when none is given."""
+        return span / 1e4
 
     def __getstate__(self):
         # recorded jets are code, which does not pickle; a copy records its own
@@ -475,6 +495,7 @@ class SampledField:
     """
 
     nmax = SAMPLED_NMAX
+    seed_rtol = 1e-3  # seeds are only located to ~1e-3*dx, so allow matching slack
 
     def __init__(self, grid: Grid1x1, values):
         values = np.asarray(values, float)
@@ -488,6 +509,7 @@ class SampledField:
         self.values = values
         self._deriv_grids = {}
         self._stack = ()
+        self._block = None, None  # the last 4x4 block a point query read: key, floats
 
     # -- derivative grids ----------------------------------------------------
 
@@ -533,23 +555,43 @@ class SampledField:
     def eval(self, x, t):
         return float(self.jet(x, t, 0).value)
 
-    def jet(self, x, t, order) -> Jet:
-        # ``jet_batch``'s sums in their order, on the Python floats of one 4x4 block
-        if not 0 <= order <= self.nmax + 1:
-            raise OrderTooHigh(f"sampled fields support jets of order 0..{self.nmax + 1}")
-        x, t = float(x), float(t)
+    @property
+    def seed_scan(self):  # the grid width and 1e-3*dx
+        return self.grid.x_max - self.grid.x0, 1e-3 * self.grid.dx
+
+    def default_step(self, span):
+        return min(self.grid.dt, span / 1000.0)
+
+    def _point(self, x, t, order, rows):
+        """The given rows of ``_stacked(order)`` at the float point (x, t): ``jet_batch``'s
+        sums in their order, on the Python floats of one 4x4 block, the last one kept."""
         g = self.grid
         if not g.contains(x, t):
             raise OutOfDomain(f"point ({x}, {t}) outside the sampling grid")
         j0, (wt0, wt1, wt2, wt3) = _stencil(t, g.t0, g.dt, g.nt)
         i0, (wx0, wx1, wx2, wx3) = _stencil(x, g.x0, g.dx, g.nx)
-        vals = [(a0 * wt0 + a1 * wt1 + a2 * wt2 + a3 * wt3) * wx0
+        key, block = self._block
+        if key != (order, j0, i0):  # consecutive probes mostly read the same block
+            block = self._stacked(order)[:, j0 : j0 + 4, i0 : i0 + 4].tolist()
+            self._block = (order, j0, i0), block
+        return [(a0 * wt0 + a1 * wt1 + a2 * wt2 + a3 * wt3) * wx0
                 + (b0 * wt0 + b1 * wt1 + b2 * wt2 + b3 * wt3) * wx1
                 + (c0 * wt0 + c1 * wt1 + c2 * wt2 + c3 * wt3) * wx2
                 + (d0 * wt0 + d1 * wt1 + d2 * wt2 + d3 * wt3) * wx3
                 for (a0, b0, c0, d0), (a1, b1, c1, d1), (a2, b2, c2, d2), (a3, b3, c3, d3)
-                in self._stacked(order)[:, j0 : j0 + 4, i0 : i0 + 4].tolist()]
-        return Jet(x, t, order, [vals[k] for k in _JET_ORDER[order]])
+                in map(block.__getitem__, rows)]
+
+    def jet(self, x, t, order) -> Jet:
+        if not 0 <= order <= self.nmax + 1:
+            raise OrderTooHigh(f"sampled fields support jets of order 0..{self.nmax + 1}")
+        x, t = float(x), float(t)
+        return Jet(x, t, order, self._point(x, t, order, _JET_ORDER[order]))
+
+    def partials(self, x, t, order):
+        """As ``AnalyticField.partials``: three entries of ``jet(x, t, order + 1)``."""
+        if not 0 <= order <= self.nmax:
+            raise OrderTooHigh(f"sampled fields support phase velocity orders 0..{self.nmax}")
+        return tuple(self._point(float(x), float(t), order + 1, _PARTIAL_ROWS[order]))
 
     def jet_batch(self, x, t, order):
         """The tables of ``jet`` at broadcast points, as from an analytic field;
@@ -572,10 +614,12 @@ class SampledField:
         return table
 
 
-# the (p, q) of the stack by ascending p + q; _JET_ORDER[m]: where an order-m jet's entries sit
+# the (p, q) of the stack by ascending p + q; _JET_ORDER[m]: where an order-m jet's entries
+# sit; _PARTIAL_ROWS[n]: where those of ``partials`` sit, (0, n), (0, n+1), (1, n) of m = n+1
 _PAIRS = [(p, d - p) for d in range(SAMPLED_NMAX + 2) for p in range(d + 1)]
 _JET_ORDER = [[_PAIRS.index((p, q)) for p in range(m + 1) for q in range(m + 1 - p)]
               for m in range(SAMPLED_NMAX + 2)]
+_PARTIAL_ROWS = [[m[n], m[n + 1], m[2 * n + 2]] for n, m in enumerate(_JET_ORDER[1:])]
 
 
 def _stencil(c, c0, h, n):

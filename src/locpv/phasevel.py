@@ -28,6 +28,7 @@ __all__ = [
     "ClassicalDiagnostics",
     "is_pole",
     "pv_point",
+    "pv_ratio",
     "pv_from_jet",
     "pv_field",
     "kink_spectrum",
@@ -71,20 +72,24 @@ def is_pole(num, den):
     return (abs(den) < EPS_DEN_FLOOR) | (abs(den) < EPS_POLE_REL * abs(num))
 
 
-def pv_from_jet(jet, order):
-    """Phase velocity of the given order from a jet; None at a pole or a non-finite ratio."""
-    num = jet.deriv(1, order)
-    den = jet.deriv(0, order + 1)
+def pv_ratio(num, den):
+    """The phase velocity -num/den of two floats; None at a pole or a non-finite ratio."""
     if not (math.isfinite(num) and math.isfinite(den)) or is_pole(num, den):
         return None
     return -num / den
+
+
+def pv_from_jet(jet, order):
+    """Phase velocity of the given order from a jet; None at a pole or a non-finite ratio."""
+    return pv_ratio(jet.deriv(1, order), jet.deriv(0, order + 1))
 
 
 def pv_point(field, x, t, order):
     """Local N-th order phase velocity at one point; None where undefined,
     outside a custom field's domain too, without numpy warnings."""
     with np.errstate(all="ignore"):
-        return pv_from_jet(field.jet(x, t, order + 1), order)
+        _, den, num = field.partials(x, t, order)
+    return pv_ratio(num, den)
 
 
 def _deriv_arrays(field, grid, order):

@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import DegenerateDenominator
 from .field import AnalyticField
-from .phasevel import is_pole
+from .phasevel import is_pole, pv_ratio
 
 __all__ = [
     "BoostFrame",
@@ -52,6 +52,10 @@ class BoostFrame:
             raise ValueError("light speed squared must be a positive finite float")
         if not abs(self.V) < self.c:
             raise ValueError("frame speed must satisfy |V| < c")
+
+    @property
+    def speed_unit(self):  # pole tests read speeds in units of c, so in no unit of speed
+        return self.c if self.c < np.inf else 1.0
 
     @property
     def gamma(self):
@@ -93,7 +97,7 @@ def add_v0(frame: BoostFrame, v0):
         raise ValueError("v0 must be finite")
     num = v0 + frame.V
     den = 1.0 + v0 * frame.V / frame.c ** 2
-    if np.any(is_pole(num, den)):
+    if np.any(is_pole(num / frame.speed_unit, den)):
         raise DegenerateDenominator("1 + v0*V/c^2 vanished")
     return num / den
 
@@ -112,7 +116,7 @@ def add_vI_freewave(frame: BoostFrame, vI, sign_convention="as_printed"):
     b2 = (frame.V / frame.c) ** 2
     num = (1.0 + b2) * vI + 2.0 * frame.V
     den = (1.0 + b2) + 2.0 * frame.V * vI / frame.c ** 2
-    if np.any(is_pole(num, den)):
+    if np.any(is_pole(num / frame.speed_unit, den)):
         raise DegenerateDenominator("first-order addition denominator vanished")
     out = num / den
     return -out if sign_convention == "as_printed" else out
@@ -124,17 +128,16 @@ def boost_vI_general(frame: BoostFrame, jet):
     v'_I = -[(1+V^2/c^2) psi_xt - V (psi_tt/c^2 + psi_xx)]
            / [(V^2/c^4) psi_tt + psi_xx - (2V/c^2) psi_xt]
 
-    Returns None at a pole (``is_pole(num, den)``).
+    Returns None at a pole or a non-finite ratio (``pv_ratio``). V^2/c^4 is
+    (V/c)^2 / c^2, which raises for no frame ``BoostFrame`` accepts.
     """
     V, c = frame.V, frame.c
     ptt = jet.deriv(2, 0)
     pxx = jet.deriv(0, 2)
     pxt = jet.deriv(1, 1)
     num = (1.0 + (V / c) ** 2) * pxt - V * (ptt / c ** 2 + pxx)
-    den = (V ** 2 / c ** 4) * ptt + pxx - (2.0 * V / c ** 2) * pxt
-    if is_pole(num, den):
-        return None
-    return -num / den
+    den = ((V / c) ** 2 / c ** 2) * ptt + pxx - (2.0 * V / c ** 2) * pxt
+    return pv_ratio(num, den)
 
 
 @dataclass(frozen=True)

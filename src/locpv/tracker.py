@@ -21,8 +21,7 @@ from .errors import (
     SeedOffAttribute,
     SingularSeed,
 )
-from .field import SampledField
-from .phasevel import pv_from_jet
+from .phasevel import pv_ratio
 
 __all__ = [
     "Attribute",
@@ -33,7 +32,6 @@ __all__ = [
     "global_velocity",
 ]
 
-SEED_BRACKET = 8.0  # largest half-width of find_seed's scan on analytic fields
 NEWTON_ITERS = 3    # Newton corrections of each projection onto the attribute
 
 
@@ -96,10 +94,10 @@ def global_velocity(traj: TrackedTrajectory):
 
 
 def _probe(field, x, t, order):
-    """(g, g', v) at (x, t) from one jet of order N+1: the order-th
+    """(g, g', v) at (x, t) from one ``field.partials``: the order-th
     x-derivative g, its x-derivative and the phase velocity (None at a pole)."""
-    jet = field.jet(x, t, order + 1)
-    return jet.deriv(0, order), jet.deriv(0, order + 1), pv_from_jet(jet, order)
+    g, gp, num = field.partials(x, t, order)
+    return g, gp, pv_ratio(num, gp)
 
 
 def _project(field, x, t, order, target):
@@ -122,20 +120,15 @@ def find_seed(field, order, target, near):
     """Locate x0 with (d/dx)^order psi(x0, t0) = target at fixed t0 = near[1].
 
     Searches for a sign change around near[0] (expanding geometrically up to
-    a half-width of SEED_BRACKET for analytic fields / the grid width for
-    sampled ones), then refines it by bisection to 1e-10 of that half-width
-    (1e-3 dx on sampled fields).  Each scan width is one ``jet_batch`` call;
-    its nan entries (outside the domain) never bracket.  If no scan value is
-    finite, the field's error at the first scan point is raised.
+    the half-width of ``field.seed_scan``: 8, or a sampled field's grid width),
+    then refines it by bisection to that scan's tolerance.  Each scan width is
+    one ``jet_batch`` call; its nan entries (outside the domain) never bracket.
+    If no scan value is finite, the field's error at the first scan point is raised.
     """
     x_near, t0 = near
     if not np.isfinite([target, x_near, t0]).all():
         raise ValueError("target and seed point must be finite")
-    if isinstance(field, SampledField):
-        g = field.grid
-        bracket, xtol = g.x_max - g.x0, 1e-3 * g.dx
-    else:
-        bracket, xtol = SEED_BRACKET, 1e-10 * SEED_BRACKET
+    bracket, xtol = field.seed_scan
 
     # expanding scan for a sign change; nan (outside) pairs never qualify
     lo = hi = None
@@ -185,18 +178,13 @@ def track(
 ) -> TrackedTrajectory:
     """Follow the attribute from its seed to t_end (or an earlier obstruction)."""
     if step is None:
-        if isinstance(field, SampledField):
-            step = min(field.grid.dt, (t_end - attr.t0) / 1000.0)
-        else:
-            step = (t_end - attr.t0) / 1e4
+        step = field.default_step(t_end - attr.t0)
     # written so that a nan fails every comparison
     if not (0 < step < np.inf and -np.inf < attr.t0 < t_end < np.inf
             and abs(attr.x0) < np.inf and abs(attr.target) < np.inf):
         raise ValueError("need a finite step > 0, t_end > t0, target and seed")
     if seed_tol is None:
-        # sampled seeds are only located to ~1e-3*dx, so allow matching slack
-        rel = 1e-3 if isinstance(field, SampledField) else 1e-6
-        seed_tol = rel * max(1.0, abs(attr.target))
+        seed_tol = field.seed_rtol * max(1.0, abs(attr.target))
 
     x, t = float(attr.x0), float(attr.t0)
     g0, _, v = _probe(field, x, t, attr.order)

@@ -347,6 +347,21 @@ class TestCommands:
         assert code == 0
         assert float(capsys.readouterr().out.strip()) == pytest.approx(0.8)
 
+    @pytest.mark.parametrize("rule", ["order0", "order1"])
+    def test_boost_far_from_unit_light_speed_is_no_pole(self, rule, capsys, tmp_path):
+        # the pole test reads speeds in units of c, so neither run is a pole
+        assert run_cli(["boost", "--add", rule, "--v=1e13", "--V=0", "--c=1e14"]) == 0
+        assert abs(float(capsys.readouterr().out)) == 1e13
+        reports = []
+        for c, name in [("1e150", "huge.json"), ("1", "unit.json")]:
+            out = tmp_path / name
+            argv = ["boost", "--audit", rule, "--resolution", "20", "--c", c, "--out", str(out)]
+            assert run_cli(argv) == 0
+            reports.append(json.loads(out.read_text()))
+        assert reports[0]["violations"] == []
+        assert reports[0]["max_abs_vprime_over_c"] == pytest.approx(
+            reports[1]["max_abs_vprime_over_c"], rel=1e-12)
+
     def test_simulate_then_pv_round_trip(self, tmp_path):
         sim_out = tmp_path / "sim.csv"
         code = run_cli(

@@ -1,7 +1,8 @@
 """Layering: no locpv module reaches into another module's private names,
 every module uses each name it imports, the velocity modules decide poles
-only through ``phasevel.is_pole``, no module imports scipy, and only the jet
-recorder compiles and runs code."""
+only through ``phasevel.is_pole``, no module imports scipy, only the jet
+recorder compiles and runs code, and the tracker asks a field for its policy
+instead of testing its class."""
 
 import ast
 from pathlib import Path
@@ -307,3 +308,48 @@ def test_code_run_checker_finds_calls(source, names):
 )
 def test_code_run_checker_allows_other_calls(source):
     assert code_runs(source) == []
+
+
+FIELD_CLASSES = {n for n in locpv.field.__all__ if isinstance(getattr(locpv.field, n), type)}
+
+
+def field_class_tests(source):
+    """(line, class) of each ``isinstance`` test against a class of ``field.py``."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
+                and node.func.id == "isinstance" and len(node.args) == 2:
+            for n in ast.walk(node.args[1]):
+                name = getattr(n, "id", None) or getattr(n, "attr", None)
+                if name in FIELD_CLASSES:
+                    found.append((node.lineno, name))
+    return found
+
+
+# the tracker's bracket, tolerances and default step are the field's; the
+# branches left in phasevel and cli are open work
+@pytest.mark.parametrize("module", ["tracker"])
+def test_no_branch_on_a_field_class(module):
+    assert field_class_tests((PACKAGE / f"{module}.py").read_text()) == []
+
+
+@pytest.mark.parametrize(
+    "source, names",
+    [
+        ("if isinstance(field, SampledField):\n    pass", ["SampledField"]),
+        ("rel = 1e-3 if isinstance(f, (Harmonic, field.SampledField)) else 1e-6",
+         ["Harmonic", "SampledField"]),
+    ],
+    ids=["name", "tuple-and-attribute"],
+)
+def test_field_class_checker_finds_tests(source, names):
+    assert sorted(name for _, name in field_class_tests(source)) == names
+
+
+@pytest.mark.parametrize(
+    "source",
+    ["isinstance(u, float)", "isinstance(node, ast.Name)", "field.seed_scan()"],
+    ids=["builtin", "other-module", "policy-call"],
+)
+def test_field_class_checker_allows_other_tests(source):
+    assert field_class_tests(source) == []

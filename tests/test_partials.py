@@ -1,0 +1,136 @@
+"""``partials``: the three entries of a jet that a phase velocity reads, bit for
+bit those of the whole jet, with its errors, on every field kind; and tracked
+fields, whose point queries keep state, pickle and track alike."""
+
+import pickle
+
+import numpy as np
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from locpv.errors import OrderTooHigh
+from locpv.field import (
+    CustomField,
+    DampedTranslational,
+    Grid1x1,
+    Harmonic,
+    InhomogeneousMode,
+    KinkDamped,
+    SampledField,
+    Translational,
+    sample,
+)
+from locpv.media import ConstantIndex, LinearIndex, TabulatedIndex, TanhRampIndex
+from locpv.relativity import BoostFrame, boost_field
+from locpv.tracker import Attribute, find_seed, track
+
+_XS = np.linspace(-5, 5, 21)
+ANALYTIC = [
+    Harmonic(3.0, 1.5),
+    *(Translational(1.3, env) for env in ("gauss", "arctan", "sin", "exp")),
+    DampedTranslational(-0.7, 0.2),
+    KinkDamped(1.0, 0.3),
+    *(InhomogeneousMode(2.0, medium) for medium in (
+        ConstantIndex(1.5), LinearIndex(1.0, 0.1), TanhRampIndex(1.0, 0.5, 0.3, 0.8),
+        TabulatedIndex(_XS, 1.0 + 0.3 / (1 + _XS ** 2)))),
+    boost_field(DampedTranslational(1.0, 0.1), BoostFrame(0.4)),
+    # poles and branch cuts: nan and inf entries at and past x = 0 or x = t
+    CustomField("log(x) * exp(-t*t)"),
+    CustomField("sqrt(x - t) + sin(x)"),
+    CustomField("(x*x - t)**-1.5"),
+]
+
+
+def _outcome(fn, *args):
+    """A call's result as the bits of its floats, or its error's class."""
+    try:
+        with np.errstate(all="ignore"):
+            return np.array(fn(*args), float).view(np.uint64).tolist()
+    except Exception as exc:  # the error class is the outcome compared
+        return type(exc)
+
+
+def _from_jet(field, x, t, order):
+    jet = field.jet(x, t, order + 1)
+    return jet.deriv(0, order), jet.deriv(0, order + 1), jet.deriv(1, order)
+
+
+# a pole of each custom field, its neighbours and ordinary points
+_SPECIAL = st.sampled_from([0.0, -0.0, 5e-324, -1.0, 0.5, 1e-8])
+_COORD = st.one_of(_SPECIAL, st.floats(-3.0, 3.0))
+
+
+@given(st.sampled_from(ANALYTIC),
+       st.lists(st.tuples(_COORD, _COORD, st.integers(0, 5)), min_size=1, max_size=12))
+def test_analytic_partials_are_the_jets_entries(field, queries):
+    # order 5 asks for a jet of order 6, beyond every analytic field's nmax + 1
+    for x, t, order in queries:
+        got = _outcome(field.partials, x, t, order)
+        assert got == _outcome(_from_jet, field, x, t, order)
+        assert got != OrderTooHigh or order > field.nmax
+
+
+def _edges(lo, hi):
+    """The bounds of [lo, hi] and their neighbouring doubles on either side."""
+    return [lo, hi, np.nextafter(lo, -np.inf), np.nextafter(hi, np.inf),
+            np.nextafter(lo, np.inf), np.nextafter(hi, -np.inf)]
+
+
+@st.composite
+def sampled_queries(draw):
+    """A sampled field with axes of 2, 3 or more nodes and interleaved queries
+    (x, t, order): a few edge, nearby and far coordinates, so that points
+    recur and share one axis's block, and orders 0..nmax+1."""
+    nx, nt = (draw(st.sampled_from([2, 3, 4, 9, 16])) for _ in "xt")
+    g = Grid1x1(draw(st.floats(-2.0, 0.0)), draw(st.floats(0.05, 0.5)), nx,
+                draw(st.floats(-1.0, 1.0)), draw(st.floats(0.05, 0.5)), nt)
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    values = np.random.default_rng(seed).standard_normal((nt, nx))
+
+    def coords(lo, hi, h, n):
+        one = st.one_of(st.sampled_from(_edges(lo, hi)), st.floats(lo - h / 2, hi + h / 2))
+        return st.sampled_from(draw(st.lists(one, min_size=n, max_size=n)))
+
+    query = st.tuples(coords(g.x0, g.x_max, g.dx, 3), coords(g.t0, g.t_max, g.dt, 3),
+                      st.integers(0, SampledField.nmax + 1))
+    return g, values, draw(st.lists(query, min_size=4, max_size=16))
+
+
+@given(sampled_queries())
+def test_sampled_partials_are_the_jets_entries(case):
+    # one field answers every query, in the drawn order, so that a block kept
+    # from an earlier query at another point or order would show; each
+    # reference is a jet of a fresh copy, which has kept nothing
+    g, values, queries = case
+    field = SampledField(g, values)
+    for x, t, order in queries:
+        want = _outcome(_from_jet, SampledField(g, values), x, t, order)
+        assert _outcome(field.partials, x, t, order) == want
+        assert _outcome(_from_jet, field, x, t, order) == want
+
+
+@pytest.mark.parametrize("field", [
+    Translational(1.0), CustomField("log(x)"),
+    sample(Translational(1.0), Grid1x1(-1.0, 0.1, 21, 0.0, 0.1, 21)),
+], ids=["analytic", "custom", "sampled"])
+def test_negative_order_is_rejected(field):
+    with pytest.raises(OrderTooHigh):
+        field.partials(0.5, 0.5, -1)
+
+
+_GRID = Grid1x1(-3.0, 0.02, 301, 0.0, 0.02, 101)
+
+
+@pytest.mark.parametrize("field, order, target, near", [
+    (DampedTranslational(1.0, 0.1), 1, 0.0, (0.05, 0.2)),
+    (CustomField("exp(-(t - x)*(t - x))"), 0, 0.5, (-0.8, 0.1)),
+    (sample(DampedTranslational(1.0, 0.1), _GRID), 0, 0.4, (-0.5, 0.2)),
+], ids=["analytic", "custom", "sampled"])
+def test_a_tracked_field_pickles_and_its_copy_tracks_alike(field, order, target, near):
+    attr = Attribute(order, target, *find_seed(field, order, target, near))
+    first = track(field, attr, 1.2, step=0.01)
+    copy = pickle.loads(pickle.dumps(field))
+    again = track(copy, attr, 1.2, step=0.01)
+    assert again.terminated_by is first.terminated_by
+    assert np.array_equal(again.samples.view(np.uint64), first.samples.view(np.uint64))

@@ -88,6 +88,14 @@ class TestAddV0:
             # |1 + v0*V| ~ 5e-16 is below 1e-12 * |v0 + V|
             add_v0(BoostFrame(0.5), -2.0 + 1e-15)
 
+    @pytest.mark.parametrize("c", [1e-100, 1e14, 1e150])
+    def test_pole_test_does_not_depend_on_the_unit_of_speed(self, c):
+        # the numerator is read in units of c: v0 = c/10 is no pole in any unit
+        assert add_v0(BoostFrame(0.0, c), 0.1 * c) == 0.1 * c
+        assert add_vI_freewave(BoostFrame(0.0, c), 0.1 * c) == -0.1 * c
+        with pytest.raises(DegenerateDenominator):
+            add_v0(BoostFrame(0.5 * c, c), -2.0 * c)
+
 
 class TestAddVIFreewave:
     def test_zero_boost_flips_sign_as_printed(self):
@@ -135,6 +143,15 @@ class TestBoostVIGeneral:
             shortcut = add_vI_freewave(BoostFrame(V), vI, "continuous")
             assert general == pytest.approx(shortcut, abs=1e-10)
             checked += 1
+
+    @pytest.mark.parametrize("c", [1e100, 1e-100])
+    def test_extreme_light_speeds_give_a_float_or_none(self, c):
+        # V^2/c^4 neither overflows nor underflows to a zero divisor
+        jet = Harmonic(3.0, 1.5).jet(0.1, 0.2, 2)
+        assert boost_vI_general(BoostFrame(0.0, c), jet) == boost_vI_general(BoostFrame(0.0), jet)
+        for V in (0.5 * c, -0.9 * c):
+            got = boost_vI_general(BoostFrame(V, c), jet)
+            assert got is None or isinstance(got, float)
 
     def test_non_free_wave_field_disagrees(self):
         fld = DampedTranslational(1.0, 0.5)
