@@ -289,11 +289,10 @@ def _load_field(args):
 
 
 def _resolve_grid(args, fld):
-    if args.grid:
-        return parse_grid(args.grid)
-    if isinstance(fld, SampledField):
-        return fld.grid
-    raise UsageError("--grid is required with --analytic")
+    grid = parse_grid(args.grid) if args.grid else fld.grid
+    if grid is None:
+        raise UsageError("--grid is required with --analytic")
+    return grid
 
 
 def _cmd_pv(args):

@@ -4,8 +4,9 @@ Two kinds of field are supported: closed-form analytic families, whose jets
 (truncated Taylor series) are recorded once per order as float code, and
 uniformly sampled grids differentiated by central finite-difference stencils
 and read off the grid through a local 4x4 Lagrange cubic.  Both answer
-``eval``, ``jet``, ``partials`` and ``jet_batch`` (nan outside the domain,
-where ``jet`` and ``partials`` raise OutOfDomain).
+``eval``, ``jet``, ``partials``, ``jet_batch`` and ``sweep`` (nan outside the
+domain, where ``jet`` and ``partials`` raise OutOfDomain), ``domain``, ``grid``
+(None if analytic), ``omega_over_k`` (a harmonic's, else None) and the tracker's policy.
 """
 
 from __future__ import annotations
@@ -159,6 +160,7 @@ class AnalyticField:
     which ``jet`` records once per order (``taylor.straight_line``)."""
 
     nmax = ANALYTIC_NMAX
+    grid = omega_over_k = None  # no sampling grid; no single omega/k
     seed_scan = SEED_BRACKET, 1e-10 * SEED_BRACKET  # find_seed's largest half-width, xtol
     seed_rtol = 1e-6  # ``track``'s seed tolerance, relative to max(1, |target|)
 
@@ -199,6 +201,16 @@ class AnalyticField:
         """``track``'s step over a time span, when none is given."""
         return span / 1e4
 
+    def sweep(self, grid: Grid1x1, pairs):
+        """d^{p+q} psi / dt^p dx^q on grid, an (nt, nx) array per (p, q): one ``jet_batch``."""
+        if any(p < 0 or q < 0 for p, q in pairs):
+            raise OrderTooHigh(f"derivative orders start at 0, not {pairs}")
+        table = self.jet_batch(grid.xs, grid.ts[:, None], max(p + q for p, q in pairs))
+        return [table[p, q] for p, q in pairs]
+
+    def domain(self, grid):  # the cells of grid in the domain: all
+        return np.ones((grid.nt, grid.nx), bool)
+
     def __getstate__(self):
         # recorded jets are code, which does not pickle; a copy records its own
         return {k: v for k, v in self.__dict__.items() if k != "_jets"}
@@ -217,6 +229,7 @@ class Harmonic(AnalyticField):
 
     omega: float
     k: float
+    omega_over_k = property(lambda self: self.omega / self.k)
 
     def __post_init__(self):
         _check_finite(omega=self.omega, k=self.k)
@@ -495,6 +508,7 @@ class SampledField:
     """
 
     nmax = SAMPLED_NMAX
+    omega_over_k = None
     seed_rtol = 1e-3  # seeds are only located to ~1e-3*dx, so allow matching slack
 
     def __init__(self, grid: Grid1x1, values):
@@ -515,8 +529,8 @@ class SampledField:
 
     def derivative_grid(self, p, q):
         """FD grid of d^{p+q} psi / dt^p dx^q over the whole sampling grid."""
-        if p + q > self.nmax + 1:
-            raise OrderTooHigh(f"sampled fields support derivatives up to order {self.nmax + 1}")
+        if p < 0 or q < 0 or p + q > self.nmax + 1:
+            raise OrderTooHigh(f"sampled fields support derivatives of order 0..{self.nmax + 1}")
         key = (p, q)
         if key not in self._deriv_grids:
             g = self._deriv_grids.get((p, 0))  # the same t-differences, if cached
@@ -534,21 +548,27 @@ class SampledField:
             self._stack = np.pad(stack, pad, mode="edge") if min(g.nt, g.nx) < 4 else stack
         return self._stack[:k]
 
-    def derivatives_on(self, grid: Grid1x1, p, q):
-        """d^{p+q} psi / dt^p dx^q on grid: ``derivative_grid`` on the sampling
-        grid, elsewhere its interpolant with nan outside the samples (no extrapolation)."""
+    def sweep(self, grid: Grid1x1, pairs):
+        """As ``AnalyticField.sweep``: the cached ``derivative_grid`` on the sampling grid,
+        elsewhere its interpolant, nan outside ``domain(grid)`` (no extrapolation)."""
         if grid == self.grid:
-            return self.derivative_grid(p, q)
-        g = self.grid
+            return [self.derivative_grid(p, q) for p, q in pairs]
+        g, outside, out = self.grid, ~self.domain(grid), []
         jt, wt = _stencil(np.clip(grid.ts, g.t0, g.t_max), g.t0, g.dt, g.nt)
         ix, wx = _stencil(np.clip(grid.xs, g.x0, g.x_max), g.x0, g.dx, g.nx)
         # along t onto the query times, on the columns the x-stencils read, then
         # along x: a point's sums in their order
-        lo = ix.min()
-        d = self.derivative_grid(p, q)[:, lo : ix.max() + 4]
-        rows = _wsum([d[np.minimum(jt + k, g.nt - 1)] for k in range(4)], [w[:, None] for w in wt])
-        values = _wsum([rows[:, np.minimum(ix - lo + k, d.shape[1] - 1)] for k in range(4)], wx)
-        return np.where(g.contains(grid.xs, grid.ts[:, None]), values, np.nan)
+        lo, hi, wt = ix.min(), min(ix.max() + 4, g.nx), [w[:, None] for w in wt]
+        for p, q in pairs:
+            d = self.derivative_grid(p, q)[:, lo:hi]
+            rows = _wsum([d[np.minimum(jt + k, g.nt - 1)] for k in range(4)], wt)
+            out.append(_wsum([rows[:, np.minimum(ix - lo + k, hi - lo - 1)] for k in range(4)], wx))
+            out[-1][outside] = np.nan
+        return out
+
+    def domain(self, grid):
+        """Which cells of grid lie in the closed sampling rectangle."""
+        return self.grid.contains(grid.xs, grid.ts[:, None])
 
     # -- queries -------------------------------------------------------------
 

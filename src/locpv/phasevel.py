@@ -14,14 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotOscillatory, OrderTooHigh
-from .field import (
-    Grid1x1,
-    Harmonic,
-    SampledField,
-    envelope_derivs,
-    sample,
-    save_grid_csv,
-)
+from .field import Grid1x1, envelope_derivs, save_grid_csv
 
 __all__ = [
     "PhaseVelocityField",
@@ -92,27 +85,19 @@ def pv_point(field, x, t, order):
     return pv_ratio(num, den)
 
 
-def _deriv_arrays(field, grid, order):
-    """(num, den) arrays of the two mixed partials over the grid."""
-    if isinstance(field, SampledField):
-        return field.derivatives_on(grid, 1, order), field.derivatives_on(grid, 0, order + 1)
-    table = field.jet_batch(grid.xs, grid.ts[:, None], order + 1)
-    return table[1, order], table[0, order + 1]
-
-
 def pv_field(field, grid: Grid1x1, order: int, eps_den=None) -> PhaseVelocityField:
     """The phase velocity of the given order at every node of grid.
 
     The mask is False where the velocity is undefined: at a pole (``is_pole``),
     where |den| is below eps_den (by default EPS_DEN_REL times the largest
-    finite |den| on the grid) and where a derivative is not finite, which for
-    a sampled field includes every node outside its samples.
+    finite |den| on the grid) and where a derivative is not finite, which
+    includes every node outside ``field.domain(grid)``.
     """
     if order < 0 or order > field.nmax:
         raise OrderTooHigh(f"field supports phase velocities up to order {field.nmax}")
     if eps_den is not None and not 0 <= eps_den < np.inf:
         raise ValueError("eps_den must be finite and >= 0")
-    num, den = _deriv_arrays(field, grid, order)
+    num, den = field.sweep(grid, [(1, order), (0, order + 1)])
     a = np.abs(den)
     if eps_den is None:
         scale = np.max(a, where=a < np.inf, initial=0.0)
@@ -178,15 +163,14 @@ def classical_diagnostics(field, grid: Grid1x1) -> ClassicalDiagnostics:
     bracketing x at fixed t; U = -(d lambda/dt)/(d lambda/dx) wherever both
     derivatives exist and the spatial one is not degenerate.
     """
-    if isinstance(field, SampledField):
-        values = field.derivatives_on(grid, 0, 0)
-    else:
-        values = sample(field, grid).values
+    (values,), inside = field.sweep(grid, [(0, 0)]), field.domain(grid)
+    if not np.all(np.isfinite(values), where=inside):
+        raise ValueError("sampled field contains non-finite values")
     xs = grid.xs
     lam = np.full((grid.nt, grid.nx), np.nan)
     for j in range(grid.nt):
-        if np.isnan(values[j]).all():
-            continue  # no node of this slice lies inside the samples
+        if not inside[j].any():
+            continue  # no node of this slice lies inside the domain
         z = _zero_crossings(xs, values[j])
         if z.size < 3:
             raise NotOscillatory(
@@ -208,7 +192,4 @@ def classical_diagnostics(field, grid: Grid1x1) -> ClassicalDiagnostics:
         significant = np.abs(dldx) * (2.0 * grid.dx) > WAVELENGTH_GRAD_REL * np.abs(lam)
         good = finite & significant
         U = np.where(good, -dldt / np.where(good, dldx, 1.0), np.nan)
-    omega_over_k = None
-    if isinstance(field, Harmonic):
-        omega_over_k = field.omega / field.k
-    return ClassicalDiagnostics(grid, lam, U, omega_over_k)
+    return ClassicalDiagnostics(grid, lam, U, field.omega_over_k)

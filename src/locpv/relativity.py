@@ -128,8 +128,8 @@ def boost_vI_general(frame: BoostFrame, jet):
     v'_I = -[(1+V^2/c^2) psi_xt - V (psi_tt/c^2 + psi_xx)]
            / [(V^2/c^4) psi_tt + psi_xx - (2V/c^2) psi_xt]
 
-    Returns None at a pole or a non-finite ratio (``pv_ratio``). V^2/c^4 is
-    (V/c)^2 / c^2, which raises for no frame ``BoostFrame`` accepts.
+    Returns None where v'/c = (num/c)/den is not finite or a pole (``pv_ratio``), as
+    in the addition rules. V^2/c^4 is (V/c)^2 / c^2, which raises for no ``BoostFrame``.
     """
     V, c = frame.V, frame.c
     ptt = jet.deriv(2, 0)
@@ -137,7 +137,7 @@ def boost_vI_general(frame: BoostFrame, jet):
     pxt = jet.deriv(1, 1)
     num = (1.0 + (V / c) ** 2) * pxt - V * (ptt / c ** 2 + pxx)
     den = ((V / c) ** 2 / c ** 2) * ptt + pxx - (2.0 * V / c ** 2) * pxt
-    return pv_ratio(num, den)
+    return None if pv_ratio(num / frame.speed_unit, den) is None else -num / den
 
 
 @dataclass(frozen=True)

@@ -216,6 +216,14 @@ class TestExitCodes:
         _, values, _ = load_grid_csv(out)
         assert np.isnan(values[:, :3]).all() and np.isfinite(values[1:, 3:]).all()
 
+    def test_wavelength_of_a_field_nan_in_its_grid_prints_one_error_line(self, tmp_path):
+        # log(x) is nan for x < 0; in a child, so that numpy warnings would
+        # reach its stderr
+        proc = run_child(["wavelength", "--analytic", "custom:log(x)*sin(3*t-2*x)",
+                          "--grid=-1,0.01,300x0,0.01,50", "--out", str(tmp_path / "w.csv")])
+        assert (proc.returncode, proc.stderr) == (
+            2, b"error: UsageError: sampled field contains non-finite values\n")
+
     def test_track_past_a_custom_domain_stops_at_the_singularity(self, tmp_path):
         # the level sqrt(x) + t = 1 reaches x = 0 at t = 1, where the field's
         # jet turns nan; in a child, so that numpy warnings would reach its stderr

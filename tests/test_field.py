@@ -213,29 +213,51 @@ class TestFiniteDifferences:
         g = Grid1x1(0.0, 0.1, 21, 0.0, 0.1, 2)
         two_rows = sample(Translational(1.0), g)
         with pytest.raises(StencilClipped):
-            two_rows.derivatives_on(g, 1, 0)
+            two_rows.sweep(g, [(1, 0)])
         # order 0 needs no stencil: the whole grid is its domain
         assert two_rows.eval(0.0, 0.0) == pytest.approx(two_rows.values[0, 0], abs=1e-12)
-        assert np.isfinite(two_rows.derivatives_on(g, 0, 1)).all()
+        assert np.isfinite(two_rows.sweep(g, [(0, 1)])[0]).all()
 
 
-class TestDerivativesOn:
+class TestSweep:
+    """Both kinds of field answer ``sweep(grid, pairs)`` and ``domain(grid)``."""
+
     def test_own_grid_returns_the_fd_grid(self):
         g = Grid1x1(-1.0, 0.1, 21, 0.0, 0.1, 11)
         s = sample(DampedTranslational(1.0, 0.2), g)
         same = Grid1x1(-1.0, 0.1, 21, 0.0, 0.1, 11)  # equal to g, not the same object
-        assert s.derivatives_on(same, 1, 1) is s.derivative_grid(1, 1)
+        assert s.sweep(same, [(1, 1)])[0] is s.derivative_grid(1, 1)
+        assert s.domain(same).all() and s.grid is g and s.omega_over_k is None
 
     def test_nan_outside_the_grid(self):
         g = Grid1x1(0.0, 0.1, 21, 0.0, 0.1, 21)
         s = sample(Translational(1.0), g)
         q = Grid1x1(-0.25, 0.05, 51, 0.02, 0.05, 41)  # overhangs both x edges and t_max
-        d = s.derivatives_on(q, 0, 2)
-        inside = g.contains(q.xs, q.ts[:, None])
+        d = s.sweep(q, [(0, 2)])[0]
+        inside = s.domain(q)
+        np.testing.assert_array_equal(inside, g.contains(q.xs, q.ts[:, None]))
+        assert inside.any() and not inside.all()
         assert np.all(np.isfinite(d[inside]))
         assert np.all(np.isnan(d[~inside]))
         exact = Translational(1.0).jet_batch(q.xs[None, 10:30], q.ts[:10, None], 2)[0, 2]
         np.testing.assert_allclose(d[:10, 10:30], exact, atol=0.05)
+
+    @pytest.mark.parametrize("order", range(5))
+    @pytest.mark.parametrize("fld", [DampedTranslational(1.0, 0.1),
+                                     CustomField("log(x)*sin(3*t-2*x)")],
+                             ids=["damped", "custom-nan-region"])
+    def test_analytic_sweep_is_the_jet_batch_entries_bit_for_bit(self, fld, order):
+        q = Grid1x1(-1.0, 0.05, 41, -0.5, 0.1, 11)  # x <= 0 lies outside log(x)'s domain
+        table = fld.jet_batch(q.xs, q.ts[:, None], order)
+        pairs = [(p, k) for p in range(order + 1) for k in range(order + 1 - p)]
+        for (p, k), got in zip(pairs, fld.sweep(q, pairs)):
+            assert got.shape == (q.nt, q.nx)
+            assert np.array_equal(got.view(np.uint64), table[p, k].view(np.uint64))
+        assert fld.domain(q).shape == (q.nt, q.nx) and fld.domain(q).all()
+        assert fld.grid is None and fld.omega_over_k is None
+
+    def test_a_harmonic_knows_omega_over_k(self):
+        assert Harmonic(3.0, 1.5).omega_over_k == 2.0
 
 
 
@@ -264,7 +286,7 @@ class TestInterpolant:
                 assert value == pytest.approx(_poly(x, t, degree_t), abs=1e-13)
                 assert s.jet_batch(x, t, 0)[0, 0] == value
         q = Grid1x1(g.x0 + 0.05, 0.17, 12, g.t0 + 0.01, 0.7 * g.dt, nt)
-        np.testing.assert_allclose(s.derivatives_on(q, 0, 0),
+        np.testing.assert_allclose(s.sweep(q, [(0, 0)])[0],
                                    _poly(q.xs, q.ts[:, None], degree_t), rtol=0, atol=1e-13)
 
     @pytest.mark.parametrize("nt, expected", [(2, 0.5), (3, -0.25), (4, 0.125)])
@@ -279,8 +301,8 @@ class TestInterpolant:
         g = Grid1x1(-2.0, 0.05, 81, 0.0, 0.05, 41)
         s = sample(DampedTranslational(1.0, 0.1), g)
         q = Grid1x1(-2.6, 0.07, 75, -0.4, 0.06, 45)  # past every edge of g
-        # the (p, q) of an order-2 jet, in its flat order
-        sweeps = np.array([s.derivatives_on(q, p, k) for p in range(3) for k in range(3 - p)])
+        # the (p, q) of an order-2 jet, in its flat order, in one sweep
+        sweeps = np.array(s.sweep(q, [(p, k) for p in range(3) for k in range(3 - p)]))
         for j in range(0, q.nt, 3):
             for i in range(0, q.nx, 3):
                 if g.contains(q.xs[i], q.ts[j]):
@@ -290,7 +312,7 @@ class TestInterpolant:
     def test_far_query_grids_are_nan_without_warnings(self):
         s = sample(Harmonic(3.0, 1.5), Grid1x1(0.0, 0.1, 21, 0.0, 0.1, 21))
         q = Grid1x1(1e300, 1e299, 3, -1e300, 1e299, 3)
-        assert np.isnan(s.derivatives_on(q, 1, 0)).all()
+        assert np.isnan(s.sweep(q, [(1, 0)])[0]).all()
 
 class TestCsv:
     def test_round_trip(self, tmp_path):

@@ -1,8 +1,8 @@
 """Layering: no locpv module reaches into another module's private names,
 every module uses each name it imports, the velocity modules decide poles
 only through ``phasevel.is_pole``, no module imports scipy, only the jet
-recorder compiles and runs code, and the tracker asks a field for its policy
-instead of testing its class."""
+recorder compiles and runs code, and no module but ``field`` tests a field's
+class: each asks the field itself."""
 
 import ast
 from pathlib import Path
@@ -123,7 +123,7 @@ def test_checker_finds_private_reaches(source, reach):
         "from numpy import _globals",
         "import numpy as np\nnp._NoValue",
         "self._stacked(0)",
-        "from .phasevel import _deriv_arrays",  # the module's own name
+        "from .phasevel import _zero_crossings",  # the module's own name
         "def _stacked(): pass\nobj._stacked",  # a name the module defines itself
     ],
     ids=["public", "dunder", "other-package", "other-package-attribute", "self",
@@ -326,9 +326,9 @@ def field_class_tests(source):
     return found
 
 
-# the tracker's bracket, tolerances and default step are the field's; the
-# branches left in phasevel and cli are open work
-@pytest.mark.parametrize("module", ["tracker"])
+# a field's sweep, domain, grid, omega/k and the tracker's policy are members of
+# the field: only field.py tells its classes apart
+@pytest.mark.parametrize("module", [m for m in MODULES if m != "field"])
 def test_no_branch_on_a_field_class(module):
     assert field_class_tests((PACKAGE / f"{module}.py").read_text()) == []
 

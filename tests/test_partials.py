@@ -119,6 +119,19 @@ def test_negative_order_is_rejected(field):
         field.partials(0.5, 0.5, -1)
 
 
+@pytest.mark.parametrize("field", [
+    Translational(1.0), CustomField("log(x)"),
+    sample(Translational(1.0), Grid1x1(-1.0, 0.1, 21, 0.0, 0.1, 21)),
+], ids=["analytic", "custom", "sampled"])
+@pytest.mark.parametrize("pairs", [[(0, 3), (-1, 1)], [(0, -1)], [(0, 0), (1, 7)]],
+                         ids=["negative-p", "negative-q", "above-nmax"])
+def test_a_sweep_rejects_orders_outside_0_to_nmax_plus_1(field, pairs):
+    # on the sampled field's own grid and on another
+    for g in (Grid1x1(-1.0, 0.1, 21, 0.0, 0.1, 21), Grid1x1(0.0, 0.3, 3, 0.0, 0.3, 3)):
+        with pytest.raises(OrderTooHigh):
+            field.sweep(g, pairs)
+
+
 _GRID = Grid1x1(-3.0, 0.02, 301, 0.0, 0.02, 101)
 
 

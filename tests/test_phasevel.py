@@ -8,7 +8,6 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-import locpv.phasevel
 from locpv.errors import NotOscillatory, OrderTooHigh
 from locpv.field import (
     CustomField,
@@ -156,6 +155,10 @@ class _Arrays:
     def __init__(self, num, den):
         self.arrays = num, den
 
+    def sweep(self, grid, pairs):
+        assert pairs == [(1, 0), (0, 1)]
+        return list(self.arrays)
+
 
 class TestSweepMask:
     @given(st.lists(st.tuples(_MASK_VALUES, _MASK_VALUES), min_size=1, max_size=24),
@@ -164,9 +167,7 @@ class TestSweepMask:
         # every pair of edge values, then the drawn pairs
         num, den = (np.concatenate([edges.ravel(), v]) for edges, v in
                     zip(np.meshgrid(_MASK_EDGES, _MASK_EDGES), zip(*pairs)))
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(locpv.phasevel, "_deriv_arrays", lambda field, grid, order: field.arrays)
-            pvf = pv_field(_Arrays(num, den), None, 0, eps_den)
+        pvf = pv_field(_Arrays(num, den), None, 0, eps_den)
         if eps_den is None:  # the largest finite |den|
             finite = np.abs(den[np.isfinite(den)])
             eps_den = max(EPS_DEN_FLOOR, EPS_DEN_REL * (finite.max() if finite.size else 0.0))
@@ -291,6 +292,11 @@ class TestClassicalDiagnostics:
         assert np.nanmax(np.abs(lam[valid] - 2 * np.pi / 1.5)) < 1e-4
         # uniform wavelength: both derivatives ~0, U masked everywhere
         assert not np.any(np.isfinite(diag.classical_group_velocity))
+
+    def test_a_non_finite_value_in_the_domain_is_rejected(self):
+        g = Grid1x1(-1.0, 0.01, 300, 0.0, 0.01, 50)  # log(x) is nan for x < 0
+        with pytest.raises(ValueError, match="^sampled field contains non-finite values$"):
+            classical_diagnostics(CustomField("log(x)*sin(3*t-2*x)"), g)
 
     def test_kink_not_oscillatory(self):
         g = Grid1x1(-2.0, 0.05, 81, 0.0, 0.05, 5)
