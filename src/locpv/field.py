@@ -90,13 +90,17 @@ class Grid1x1:
     def ts(self):
         return self.t0 + self.dt * np.arange(self.nt)
 
-    @property
+    # computed once per grid, at first use, and never pickled: the state is the fields
+    @functools.cached_property
     def x_max(self):
         return self.x0 + self.dx * (self.nx - 1)
 
-    @property
+    @functools.cached_property
     def t_max(self):
         return self.t0 + self.dt * (self.nt - 1)
+
+    def __getstate__(self):
+        return {f: self.__dict__[f] for f in ("x0", "dx", "nx", "t0", "dt", "nt")}
 
     def contains(self, x, t):
         """Whether (x, t) lies in the closed grid rectangle; broadcasts."""
@@ -175,26 +179,28 @@ class AnalyticField:
         if not 0 <= order <= self.nmax + 1:
             raise OrderTooHigh(f"analytic fields support jets of order 0..{self.nmax + 1}")
 
-    def _recorded(self, order):
-        """The jet of an order as recorded code, recorded at its first use."""
+    def _recorded(self, order, tdeg):
+        """The jet of an order and dt-degree as recorded code, recorded at its first use."""
         try:
-            return self._jets[order]
+            return self._jets[order, tdeg]
         except (AttributeError, KeyError):
             self._check_order(order)
-            fn = self.__dict__.setdefault("_jets", {})[order] = straight_line(self.expr, order)
+            fn = straight_line(self.expr, order, tdeg)
+            self.__dict__.setdefault("_jets", {})[order, tdeg] = fn
             return fn
 
     def jet(self, x, t, order) -> Jet:
-        fn = self._recorded(order)
+        fn = self._recorded(order, order)
         x, t = float(x), float(t)
         return Jet(x, t, order, fn(x, t))
 
     def partials(self, x, t, order):
         """(d^N psi/dx^N, d^{N+1} psi/dx^{N+1}, d^{N+1} psi/dt dx^N) at one point, N =
-        order: entries (0, N), (0, N+1) and (1, N) of ``jet(x, t, order + 1)``, bit for bit."""
+        order: entries (0, N), (0, N+1) and (1, N) of ``jet(x, t, order + 1)``, bit for bit,
+        from a jet recorded at dt-degree 1, whose flat entries are the whole one's first."""
         if order < 0:
             raise OrderTooHigh(f"phase velocity orders start at 0, not {order}")
-        flat = self._recorded(order + 1)(float(x), float(t))
+        flat = self._recorded(order + 1, 1)(float(x), float(t))
         return flat[order], flat[order + 1], flat[2 * order + 2]
 
     def default_step(self, span):
@@ -202,11 +208,18 @@ class AnalyticField:
         return span / 1e4
 
     def sweep(self, grid: Grid1x1, pairs):
-        """d^{p+q} psi / dt^p dx^q on grid, an (nt, nx) array per (p, q): one ``jet_batch``."""
+        """d^{p+q} psi / dt^p dx^q on grid, an (nt, nx) array per (p, q): the entries of
+        ``jet_batch``, bit for bit, from one jet of the highest p + q and p asked."""
         if any(p < 0 or q < 0 for p, q in pairs):
             raise OrderTooHigh(f"derivative orders start at 0, not {pairs}")
-        table = self.jet_batch(grid.xs, grid.ts[:, None], max(p + q for p, q in pairs))
-        return [table[p, q] for p, q in pairs]
+        order, tdeg = max(p + q for p, q in pairs), max(p for p, _ in pairs)
+        self._check_order(order)
+        # the arrays that outlive the jet first: its temporaries then free the top of
+        # the heap, for the next allocations to reuse, rather than a hole below them
+        out = [np.empty((grid.nt, grid.nx)) for _ in pairs]
+        with np.errstate(all="ignore"):
+            jet = self.expr(*Taylor2.variables(grid.xs, grid.ts[:, None], order, tdeg))
+            return [jet.deriv(p, q, out=o) for (p, q), o in zip(pairs, out)]
 
     def domain(self, grid):  # the cells of grid in the domain: all
         return np.ones((grid.nt, grid.nx), bool)
@@ -362,7 +375,7 @@ class CustomField(AnalyticField):
     def expr(self, xs, ts):
         out = self._fn(xs, ts)
         if not isinstance(out, Taylor2):
-            out = Taylor2.constant(out, xs.order, xs.shape)
+            out = Taylor2.constant(out, xs.order, xs.shape, xs.tdeg)
         return out
 
 

@@ -165,7 +165,7 @@ def classical_diagnostics(field, grid: Grid1x1) -> ClassicalDiagnostics:
     """
     (values,), inside = field.sweep(grid, [(0, 0)]), field.domain(grid)
     if not np.all(np.isfinite(values), where=inside):
-        raise ValueError("sampled field contains non-finite values")
+        raise ValueError("field values on the grid contain non-finite values")
     xs = grid.xs
     lam = np.full((grid.nt, grid.nx), np.nan)
     for j in range(grid.nt):

@@ -1,13 +1,18 @@
 """Truncated bivariate Taylor (jet) arithmetic.
 
 A ``Taylor2`` holds the coefficients of a polynomial in the two displacement
-variables (dt, dx), truncated at a fixed total degree.  Propagating these
-objects through the closed-form expression of a wave family yields every mixed
-partial derivative at the expansion point to machine precision.  The
-coefficients c[p, q], p + q <= order, form a flat list in ascending (p, q);
-each is a Python float or a numpy array in its own broadcast shape, so a jet
-can stand for a batch of points (a coefficient that depends on t alone keeps
-t's shape, one that is the same everywhere stays a float).
+variables (dt, dx), truncated to the set {(p, q): p <= tdeg, p + q <= order}
+of powers dt^p dx^q, with tdeg <= order; tdeg = order, the default, is the
+whole triangle.  Propagating these objects through the closed-form expression
+of a wave family yields every mixed partial derivative in the set at the
+expansion point to machine precision.  The coefficients c[p, q] form a flat
+list in ascending (p, q), so the blocks p = 0, 1, ... sit where they sit in
+the whole triangle; each is a Python float or a numpy array in its own
+broadcast shape, so a jet can stand for a batch of points (a coefficient that
+depends on t alone keeps t's shape, one that is the same everywhere stays a
+float).  A coefficient of dt-degree p gets terms of dt-degree <= p only, so a
+truncated jet holds each coefficient it keeps with the bits of the whole one;
+a phase velocity reads p <= 1 only.
 
 The product is the Cauchy product, one loop over a table of terms laid out
 once per order (Griewank & Walther, *Evaluating Derivatives*, ch. 13).  Each
@@ -48,28 +53,29 @@ __all__ = [
 
 
 @cache
-def _indices(m):
-    """(p, q) of each flat coefficient of an order-m jet: p + q <= m, ascending."""
-    return tuple((p, q) for p in range(m + 1) for q in range(m + 1 - p))
+def _indices(m, tdeg):
+    """(p, q) of each flat coefficient: p <= tdeg, p + q <= m, ascending."""
+    return tuple((p, q) for p in range(tdeg + 1) for q in range(m + 1 - p))
 
 
 @cache
-def _product_terms(m):
-    """The terms of a product of order-m jets, per flat coefficient of the a factor.
+def _product_terms(m, tdeg):
+    """The terms of a product of two jets, per flat coefficient of the a factor.
 
     Entry i holds a (j, k) pair for each output k that gets a[i]*b[j].  Run
     over ascending i, this adds the terms of every output in ascending (p, q)
-    of the a factor, the order that fixes the rounding of its sum.
+    of the a factor, the order that fixes the rounding of its sum; a kept
+    output gets the terms it gets in the whole triangle, in their order.
     """
-    index = {pq: k for k, pq in enumerate(_indices(m))}
+    index = {pq: k for k, pq in enumerate(_indices(m, tdeg))}
     return tuple(tuple((j, index[p1 + p2, q1 + q2]) for (p2, q2), j in index.items()
-                       if p1 + q1 + p2 + q2 <= m) for p1, q1 in index)
+                       if p1 + q1 + p2 + q2 <= m and p1 + p2 <= tdeg) for p1, q1 in index)
 
 
 @cache
-def _factorials(m):
+def _factorials(m, tdeg):
     """p! q! as a float, per flat coefficient."""
-    return tuple(float(factorial(p) * factorial(q)) for p, q in _indices(m))
+    return tuple(float(factorial(p) * factorial(q)) for p, q in _indices(m, tdeg))
 
 
 def _entry(v):
@@ -86,43 +92,48 @@ def _broadcast(s1, s2):
 
 
 class Taylor2:
-    """Polynomial sum_{p+q<=order} c[p,q] * dt^p * dx^q over a batch of shape ``shape``."""
+    """Polynomial sum c[p,q] * dt^p * dx^q over p <= tdeg and p+q <= order, on a
+    batch of shape ``shape``."""
 
-    __slots__ = ("flat", "order", "shape")
+    __slots__ = ("flat", "order", "tdeg", "shape")
 
     def __init__(self, coef):
         """A jet from its square array of coefficients, coef[p, q, *batch]."""
         coef = np.asarray(coef, dtype=float)
         self.order, self.shape = coef.shape[0] - 1, coef.shape[2:]
+        self.tdeg = self.order
         rows = coef.tolist() if coef.ndim == 2 else coef
-        self.flat = [rows[p][q] for p, q in _indices(self.order)]
+        self.flat = [rows[p][q] for p, q in _indices(self.order, self.order)]
 
     @classmethod
-    def _of(cls, flat, order, shape):
+    def _of(cls, flat, order, tdeg, shape):
         jet = cls.__new__(cls)
-        jet.flat, jet.order, jet.shape = flat, order, shape
+        jet.flat, jet.order, jet.tdeg, jet.shape = flat, order, tdeg, shape
         return jet
 
     # -- constructors -------------------------------------------------------
 
     @classmethod
-    def constant(cls, value, order, shape=()):
+    def constant(cls, value, order, shape=(), tdeg=None):
         """The jet of a constant, over a batch of the given shape."""
-        flat = [0.0] * len(_indices(order))
+        tdeg = order if tdeg is None else tdeg
+        flat = [0.0] * len(_indices(order, tdeg))
         flat[0] = value
-        return cls._of(flat, order, _broadcast(_shape(value), shape))
+        return cls._of(flat, order, tdeg, _broadcast(_shape(value), shape))
 
     @classmethod
-    def variables(cls, x, t, order):
+    def variables(cls, x, t, order, tdeg=None):
         """Jets of the coordinate functions x and t at the points (x, t); each
         keeps its own shape, and both stand for their broadcast batch."""
         x, t = (v if type(v) is _Var else _entry(np.asarray(v, float)) for v in (x, t))
-        shape = _broadcast(_shape(x), _shape(t))
-        xs, ts = [0.0] * len(_indices(order)), [0.0] * len(_indices(order))
+        tdeg, shape = order if tdeg is None else tdeg, _broadcast(_shape(x), _shape(t))
+        xs, ts = [0.0] * len(_indices(order, tdeg)), [0.0] * len(_indices(order, tdeg))
         xs[0], ts[0] = x, t
         if order >= 1:
-            xs[1] = ts[order + 1] = 1.0  # the coefficients of dx, (0, 1), and dt, (1, 0)
-        return cls._of(xs, order, shape), cls._of(ts, order, shape)
+            xs[1] = 1.0  # the coefficient of dx, (0, 1)
+        if tdeg >= 1:
+            ts[order + 1] = 1.0  # and of dt, (1, 0)
+        return cls._of(xs, order, tdeg, shape), cls._of(ts, order, tdeg, shape)
 
     # -- inspection ---------------------------------------------------------
 
@@ -132,34 +143,39 @@ class Taylor2:
 
     @property
     def coef(self):
-        """The coefficients as a square array, coef[p, q, *shape] (0 where p+q > order)."""
+        """The coefficients as a square array, coef[p, q, *shape] (0 outside the set)."""
         m = self.order
         recorded = any(type(v) is _Var for v in self.flat)  # no float value yet
         table = np.zeros((m + 1, m + 1) + self.shape, object if recorded else float)
-        for (p, q), v in zip(_indices(m), self.flat):
+        for (p, q), v in zip(_indices(m, self.tdeg), self.flat):
             table[p, q] = v
         return table
 
     def deriv_table(self):
-        """Array D with D[p, q] = d^{p+q} f / dt^p dx^q (entries p+q<=order)."""
-        scaled = [v * f for v, f in zip(self.flat, _factorials(self.order))]
-        return Taylor2._of(scaled, self.order, self.shape).coef
+        """Array D with D[p, q] = d^{p+q} f / dt^p dx^q (0 outside the set)."""
+        scaled = [v * f for v, f in zip(self.flat, _factorials(self.order, self.tdeg))]
+        return Taylor2._of(scaled, self.order, self.tdeg, self.shape).coef
+
+    def deriv(self, p, q, out=None):
+        """D[p, q] of ``deriv_table``, bit for bit, into ``out`` if given."""
+        k = _indices(self.order, self.tdeg).index((p, q))
+        return np.multiply(self.flat[k], _factorials(self.order, self.tdeg)[k], out=out)
 
     # -- ring operations ----------------------------------------------------
 
     def _check(self, other):
-        if other.order != self.order:
+        if (other.order, other.tdeg) != (self.order, self.tdeg):
             raise ValueError("mixed jet orders")
 
     def _elementwise(self, op, other):
         a = self.flat
         if isinstance(other, Taylor2):
             self._check(other)
-            return Taylor2._of(list(map(op, a, other.flat)), self.order,
+            return Taylor2._of(list(map(op, a, other.flat)), self.order, self.tdeg,
                                _broadcast(self.shape, other.shape))
         # a constant is a jet whose other coefficients are +0.0
         flat = [op(a[0], other)] + [op(v, 0.0) for v in a[1:]]
-        return Taylor2._of(flat, self.order, _broadcast(self.shape, _shape(other)))
+        return Taylor2._of(flat, self.order, self.tdeg, _broadcast(self.shape, _shape(other)))
 
     def __add__(self, other):
         return self._elementwise(operator.add, other)
@@ -167,7 +183,7 @@ class Taylor2:
     __radd__ = __add__
 
     def __neg__(self):
-        return Taylor2._of([-v for v in self.flat], self.order, self.shape)
+        return Taylor2._of([-v for v in self.flat], self.order, self.tdeg, self.shape)
 
     def __sub__(self, other):
         return self._elementwise(operator.sub, other)
@@ -178,14 +194,15 @@ class Taylor2:
     def __mul__(self, other):
         if not isinstance(other, Taylor2):
             shape = _broadcast(self.shape, _shape(other))
-            return Taylor2._of([v * other for v in self.flat], self.order, shape)
+            return Taylor2._of([v * other for v in self.flat], self.order, self.tdeg, shape)
         self._check(other)
         a, b = self.flat, other.flat
         if (tape := next((v.tape for v in a + b if type(v) is _Var), None)) is not None:
-            return Taylor2._of(tape.product(a, b, self.order), self.order, ())  # a recording
+            m, tdeg = self.order, self.tdeg  # a recording
+            return Taylor2._of(tape.product(a, b, m, tdeg), m, tdeg, ())
         out = [0.0] * len(a)
         zeros = {j for j, bj in enumerate(b) if type(bj) is float and bj == 0.0}
-        for ai, terms in zip(a, _product_terms(self.order)):
+        for ai, terms in zip(a, _product_terms(self.order, self.tdeg)):
             # a zero adds nothing, even where b is inf or nan
             if not (ai.any() if type(ai) is np.ndarray else ai != 0.0):
                 continue
@@ -196,7 +213,7 @@ class Taylor2:
             for j, k in terms:
                 if j not in skip:
                     out[k] = out[k] + ai * b[j]
-        return Taylor2._of(out, self.order, _broadcast(self.shape, other.shape))
+        return Taylor2._of(out, self.order, self.tdeg, _broadcast(self.shape, other.shape))
 
     def __rmul__(self, other):
         return self * other
@@ -204,7 +221,7 @@ class Taylor2:
     def __truediv__(self, other):
         if not isinstance(other, Taylor2):
             flat = [_entry(np.true_divide(v, other)) for v in self.flat]
-            return Taylor2._of(flat, self.order, _broadcast(self.shape, _shape(other)))
+            return Taylor2._of(flat, self.order, self.tdeg, _broadcast(self.shape, _shape(other)))
         return self * t2_pow(other, -1)
 
     def __rtruediv__(self, other):
@@ -223,13 +240,13 @@ def t2_compose(u, series_fn, inline=False):
 
     A recording calls series_fn when the jet runs, or, with ``inline`` (for
     arithmetic and numpy ufuncs only), records its operations."""
-    m = u.order
+    m, tdeg = u.order, u.tdeg
     if type(u.value) is _Var and not inline:
         c = u.value.tape.call(series_fn, u.value, m)
     else:
         c = [_entry(v) for v in series_fn(u.value, m)]
-    uhat = Taylor2._of([0.0] + u.flat[1:], m, u.shape)
-    out = Taylor2._of([c[m]] + [0.0] * (len(u.flat) - 1), m, u.shape)
+    uhat = Taylor2._of([0.0] + u.flat[1:], m, tdeg, u.shape)
+    out = Taylor2._of([c[m]] + [0.0] * (len(u.flat) - 1), m, tdeg, u.shape)
     for k in range(m - 1, -1, -1):
         out = out * uhat
         # the other coefficients are sums from +0.0, never -0.0, so adding
@@ -320,7 +337,7 @@ def t2_sqrt(u):
 
 def t2_pow(u, p):
     if isinstance(p, (int, np.integer)) and p >= 0:
-        out = Taylor2.constant(1.0, u.order)
+        out = Taylor2.constant(1.0, u.order, tdeg=u.tdeg)
         base = u
         k = int(p)
         while k:
@@ -396,13 +413,13 @@ class _Tape:
         self.lines.append(f"{var.name} = {code}")
         return var
 
-    def product(self, a, b, m):
+    def product(self, a, b, m, tdeg):
         """The coefficients of a * b as the engine adds its terms o + a[i] *
         b[j], one line each.  The engine skips a zero a[i]; a run-time a[i]
         times a finite constant is then +-0.0, which a sum from +0.0 absorbs,
         and its other terms go under ``if a[i] != 0.0``."""
         out, code, owned = [0.0] * len(a), {}, {}  # code[k]: out[k] as an expression
-        for ai, terms in zip(a, _product_terms(m)):
+        for ai, terms in zip(a, _product_terms(m, tdeg)):
             if not (type(ai) is _Var or ai != 0.0):
                 continue
             var, block, skipped, name = type(ai) is _Var, [], {}, self.ref(ai)
@@ -442,15 +459,15 @@ class _Tape:
         return out
 
 
-def straight_line(expr, order):
-    """expr recorded once at the given order as f(x, t) of two floats, which
-    returns the p!q!-scaled flat coefficients: the engine's float operations
-    in its order, with its zero skips and series values, folding only
-    constants, so f agrees bit for bit with expr on ``Taylor2.variables``."""
+def straight_line(expr, order, tdeg):
+    """expr recorded once at the given order and dt-degree as f(x, t) of two
+    floats, which returns the p!q!-scaled flat coefficients: the engine's float
+    operations in its order, with its zero skips and series values, folding
+    only constants, so f agrees bit for bit with expr on ``Taylor2.variables``."""
     tape = _Tape()
-    jet = expr(*Taylor2.variables(_Var(tape, "x"), _Var(tape, "t"), order))
+    jet = expr(*Taylor2.variables(_Var(tape, "x"), _Var(tape, "t"), order, tdeg))
     # deriv_table's scaling; a product with 1.0 changes no bit
-    out = [tape.ref(v if f == 1.0 else v * f) for v, f in zip(jet.flat, _factorials(order))]
+    out = [tape.ref(v if f == 1.0 else v * f) for v, f in zip(jet.flat, _factorials(order, tdeg))]
     body = "".join(f"        {line}\n" for line in tape.lines)
     source = (f"def make({', '.join(tape.names.values())}):\n    def jet(x, t):\n"
               f"{body}        return [{', '.join(out)}]\n    return jet\n")

@@ -222,7 +222,7 @@ class TestExitCodes:
         proc = run_child(["wavelength", "--analytic", "custom:log(x)*sin(3*t-2*x)",
                           "--grid=-1,0.01,300x0,0.01,50", "--out", str(tmp_path / "w.csv")])
         assert (proc.returncode, proc.stderr) == (
-            2, b"error: UsageError: sampled field contains non-finite values\n")
+            2, b"error: UsageError: field values on the grid contain non-finite values\n")
 
     def test_track_past_a_custom_domain_stops_at_the_singularity(self, tmp_path):
         # the level sqrt(x) + t = 1 reaches x = 0 at t = 1, where the field's

@@ -38,6 +38,18 @@ class TestGrid:
         np.testing.assert_array_equal(inside[0], [False, True, True, True, False])
         assert not inside[2].any()
 
+    def test_kept_bounds_change_no_identity_of_a_grid(self):
+        # x_max and t_max are computed once, at first use; equality, hash,
+        # repr and the pickled bytes stay those of the six fields
+        fresh, used = Grid1x1(-1.0, 0.1, 7, 0.3, 0.2, 4), Grid1x1(-1.0, 0.1, 7, 0.3, 0.2, 4)
+        before = pickle.dumps(fresh)
+        assert used.contains(-0.4, 0.9)
+        assert (used.x_max, used.t_max) == (-1.0 + 0.1 * 6, 0.3 + 0.2 * 3)
+        assert used == fresh and hash(used) == hash(fresh) and repr(used) == repr(fresh)
+        assert pickle.dumps(used) == before
+        copy = pickle.loads(before)
+        assert copy == used and (copy.x_max, copy.t_max) == (used.x_max, used.t_max)
+
     @pytest.mark.parametrize(
         "kw",
         [

@@ -289,15 +289,15 @@ class TestRederivation:
 
     def test_one_quadrature_records_one_jet(self, monkeypatch):
         # quad evaluates the local velocity at 21 nodes per interval; the
-        # mode's one field records its order-2 jet at the first of them
+        # mode's one field records its order-2 jet, at dt-degree 1, at the first of them
         recorded, record = [], locpv.field.straight_line
-        monkeypatch.setattr(locpv.field, "straight_line",
-                            lambda expr, order: recorded.append(order) or record(expr, order))
+        monkeypatch.setattr(locpv.field, "straight_line", lambda expr, order, tdeg:
+                            recorded.append((order, tdeg)) or record(expr, order, tdeg))
         mode = ModeSpec(10.0, LinearIndex(1.0, 0.1))
         vI_global_rederived(mode, 2.0)
-        assert recorded == [2]
+        assert recorded == [(2, 1)]
         vI_global_rederived(mode, 1.0)
-        assert recorded == [2]
+        assert recorded == [(2, 1)]
 
     def test_sign_audit_report(self):
         mode = ModeSpec(10.0, LinearIndex(1.0, 0.1))

@@ -295,7 +295,8 @@ class TestClassicalDiagnostics:
 
     def test_a_non_finite_value_in_the_domain_is_rejected(self):
         g = Grid1x1(-1.0, 0.01, 300, 0.0, 0.01, 50)  # log(x) is nan for x < 0
-        with pytest.raises(ValueError, match="^sampled field contains non-finite values$"):
+        message = "^field values on the grid contain non-finite values$"
+        with pytest.raises(ValueError, match=message):
             classical_diagnostics(CustomField("log(x)*sin(3*t-2*x)"), g)
 
     def test_kink_not_oscillatory(self):

@@ -3,6 +3,7 @@ product and custom-expression engines against their reference loops."""
 
 import ast
 import io
+import operator
 import re
 import tokenize
 
@@ -16,6 +17,7 @@ import locpv.taylor
 from locpv.field import (
     CustomField,
     DampedTranslational,
+    Grid1x1,
     Harmonic,
     InhomogeneousMode,
     KinkDamped,
@@ -185,7 +187,7 @@ def _float_zero_operand(rng, m, shape):
     kinds = rng.integers(0, 3, (m + 1) * (m + 2) // 2)
     flat = [(0.0, -0.0)[rng.integers(2)] if k == 0 else
             rng.normal(size=shape) if k == 1 else _operand(rng, shape) for k in kinds]
-    return Taylor2._of(flat, m, shape)
+    return Taylor2._of(flat, m, m, shape)
 
 
 @pytest.mark.parametrize("m", range(6))
@@ -431,17 +433,22 @@ def test_recorded_jets_equal_the_engine_at_special_points(fld):
 def test_a_fields_second_jet_of_an_order_records_nothing(monkeypatch):
     fld, recorded, products = DampedTranslational(0.8, 0.2), [], []
     record, multiply = locpv.field.straight_line, Taylor2.__mul__
-    monkeypatch.setattr(locpv.field, "straight_line",
-                        lambda expr, order: recorded.append(order) or record(expr, order))
+    monkeypatch.setattr(locpv.field, "straight_line", lambda expr, order, tdeg:
+                        recorded.append((order, tdeg)) or record(expr, order, tdeg))
     monkeypatch.setattr(Taylor2, "__mul__", lambda a, b: products.append(1) or multiply(a, b))
     first = fld.jet(0.3, -0.1, 2)
-    assert recorded == [2] and products
+    assert recorded == [(2, 2)] and products
     products.clear()
     assert fld.jet(0.3, -0.1, 2) == first
     fld.jet(-1.2, 0.4, 2)
-    assert recorded == [2] and products == []
+    assert recorded == [(2, 2)] and products == []
     fld.jet(0.3, -0.1, 3)
-    assert recorded == [2, 3]
+    assert recorded == [(2, 2), (3, 3)]
+    # point partials read p <= 1 only: one recording of their own per order
+    fld.partials(0.3, -0.1, 1)
+    products.clear()
+    fld.partials(-1.2, 0.4, 1)
+    assert recorded == [(2, 2), (3, 3), (2, 1)] and products == []
 
 
 _CODE_NAME = re.compile(r"[vkc]\d+(_\d+)?|x|t|make|jet|def|return|if|else|float|map")
@@ -471,6 +478,130 @@ def test_straight_line_returns_the_scaled_flat_coefficients():
     fld = KinkDamped(1.3, 0.2)
     for order in range(6):
         table = engine_jet(fld, 0.4, -0.3, order)
-        flat = straight_line(fld.expr, order)(0.4, -0.3)
+        flat = straight_line(fld.expr, order, order)(0.4, -0.3)
         assert flat == [table[p, q] for p in range(order + 1) for q in range(order + 1 - p)]
         assert all(type(v) is float for v in flat)
+        for tdeg in range(order + 1):  # a truncated recording: the first tdeg + 1 blocks
+            assert straight_line(fld.expr, order, tdeg)(0.4, -0.3) == flat[:_kept(order, tdeg)]
+
+
+# -- jets truncated in their dt-degree ---------------------------------------
+
+
+def _kept(m, tdeg):
+    """How many flat coefficients, the first ones, a jet of dt-degree tdeg keeps."""
+    return sum(m + 1 - p for p in range(tdeg + 1))
+
+
+def assert_same_coefficients(truncated, full):
+    """The truncated jet's coefficients are the full one's first, of the same
+    type and bit for bit.  A nan matches any nan: CPython's sum of two nan
+    floats keeps one or the other operand's sign, depending on whether the
+    interpreter has specialized that addition yet, so even one jet computed
+    twice can differ there."""
+    kept = full.flat[:_kept(full.order, truncated.tdeg)]
+    assert len(truncated.flat) == len(kept) and truncated.shape == full.shape
+    for u, v in zip(truncated.flat, kept):
+        assert type(u) is type(v) and np.shape(u) == np.shape(v)
+        assert_same_bits(u, v)
+
+
+def _truncate(jet, tdeg):
+    return Taylor2._of(jet.flat[:_kept(jet.order, tdeg)], jet.order, tdeg, jet.shape)
+
+
+_EXTREMES = [0.0, -0.0, np.inf, -np.inf, np.nan, 1e300, -1e300, 1e-300, -1e-300]
+
+
+def _extreme_operand(rng, m, batch):
+    """A jet whose coefficients are drawn from the extremes, normal draws and,
+    if batched, arrays that mix both, with Python float zeros among them."""
+    flat = []
+    for _ in range(_kept(m, m)):
+        kind = rng.integers(0, 3 if batch else 2)
+        if kind == 0:
+            flat.append(float(rng.choice(_EXTREMES)))
+        elif kind == 1:
+            flat.append(float(rng.normal()) if not batch else rng.normal(size=batch))
+        else:
+            flat.append(np.where(rng.random(batch) < 0.4, rng.choice(_EXTREMES, batch),
+                                 rng.normal(size=batch)))
+    return Taylor2._of(flat, m, m, batch)
+
+
+_COMPOSITIONS = [t2_exp, t2_sin, t2_cos, t2_atan, t2_log, t2_sqrt,
+                 lambda u: t2_pow(u, -1.5), lambda u: t2_pow(u, 3), lambda u: 1.0 / u,
+                 lambda u: u / (u * u + 0.5), _MEDIA[2].taylor2, _MEDIA[3].taylor2]
+
+
+@pytest.mark.parametrize("m", range(6))
+@pytest.mark.parametrize("batch", [(), (4,)], ids=["scalar", "batched"])
+def test_truncated_jets_keep_the_full_jets_bits(m, batch):
+    # every kept coefficient gets the terms it gets in the whole triangle, in
+    # their order, with the same zero skips
+    rng = np.random.default_rng(100 * m + len(batch))
+    with np.errstate(all="ignore"):
+        for _ in range(6):
+            a, b = _extreme_operand(rng, m, batch), _extreme_operand(rng, m, batch)
+            full = [a * b, b * a, a * a, a + b, a - 2.0, a * 0.5, -a, a / 3.0]
+            full += [fn(a) for fn in _COMPOSITIONS]
+            for tdeg in range(m + 1):
+                ta, tb = _truncate(a, tdeg), _truncate(b, tdeg)
+                truncated = [ta * tb, tb * ta, ta * ta, ta + tb, ta - 2.0, ta * 0.5, -ta, ta / 3.0]
+                truncated += [fn(ta) for fn in _COMPOSITIONS]
+                for u, v in zip(truncated, full):
+                    assert_same_coefficients(u, v)
+
+
+@pytest.mark.parametrize("m", range(6))
+def test_truncated_coordinate_jets_keep_the_full_jets_bits(m):
+    x, t = np.array([0.0, -0.0, 1e-300, 0.7]), np.array([[-1e300], [0.25]])
+    for fld in [*FAMILIES, *_POLE_FIELDS]:
+        with np.errstate(all="ignore"):
+            full = fld.expr(*Taylor2.variables(x, t, m))
+            for tdeg in range(m + 1):
+                truncated = fld.expr(*Taylor2.variables(x, t, m, tdeg))
+                assert (truncated.order, truncated.tdeg) == (m, tdeg)
+                assert_same_coefficients(truncated, full)
+                kept = slice(0, tdeg + 1)
+                assert_same_bits(truncated.deriv_table()[kept], full.deriv_table()[kept])
+                np.testing.assert_array_equal(truncated.coef[tdeg + 1 :], 0.0)
+
+
+def test_jets_of_two_dt_degrees_do_not_mix():
+    a, _ = Taylor2.variables(0.3, 0.2, 3)
+    b, _ = Taylor2.variables(0.3, 0.2, 3, 1)
+    for op in (operator.add, operator.sub, operator.mul, operator.truediv):
+        with pytest.raises(ValueError, match="mixed jet orders"):
+            op(a, b)
+
+
+# custom fields whose division, power, sqrt and log meet their poles on grid nodes
+_POLE_FIELDS = [
+    CustomField("1 / x + t / (x - t)"),
+    CustomField("x**-1.5 * cos(t) + (x*x - t)**0.5"),
+    CustomField("sqrt(x) * sin(3*t - 2*x) - sqrt(t - x)"),
+    CustomField("log(x) * exp(-t*t) + log(x*x + t)"),
+    CustomField("(1 + x)**2 / (x * t) - x**3"),
+]
+_PAIR = st.tuples(st.integers(0, 5), st.integers(0, 5)).filter(lambda pq: sum(pq) <= 5)
+
+
+@settings(max_examples=150)
+@given(
+    st.sampled_from(FAMILIES + _POLE_FIELDS),
+    st.lists(_PAIR, min_size=1, max_size=4),
+    st.sampled_from([-0.04, -0.02, 0.0, -0.0, 0.5]) | st.floats(-2.0, 2.0),
+    st.sampled_from([-0.02, 0.0, 0.3]) | st.floats(-2.0, 2.0),
+    st.integers(2, 7), st.integers(2, 5),
+)
+def test_a_sweep_is_the_jet_batchs_entries_bit_for_bit(fld, pairs, x0, t0, nx, nt):
+    grid = Grid1x1(x0, 0.01, nx, t0, 0.01, nt)
+    swept = fld.sweep(grid, pairs)
+    with np.errstate(all="ignore"):
+        table = fld.jet_batch(grid.xs, grid.ts[:, None], max(p + q for p, q in pairs))
+    assert len(swept) == len(pairs)
+    for (p, q), values in zip(pairs, swept):
+        assert values.shape == (nt, nx) and values.dtype == float and values.flags.writeable
+        assert_same_bits(values, table[p, q])
+    assert len({id(v) for v in swept}) == len(swept)
