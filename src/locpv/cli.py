@@ -358,8 +358,9 @@ def _cmd_simulate(args):
 
     h = 1e-6 * grid.dx
 
-    def d_profile(x):
-        return (profile(x + h) - profile(x - h)) / (2.0 * h)
+    def d_profile(x):  # h may underflow to 0: run() then reports non-finite data
+        with np.errstate(all="ignore"):
+            return (profile(x + h) - profile(x - h)) / (2.0 * h)
 
     if args.moving == "standing":
         rate = lambda x: np.zeros_like(np.asarray(x, float))

@@ -482,30 +482,34 @@ def _diff_axis(values, h, m, axis):
     """m-th derivative along axis, central interior, one-sided near edges."""
     if m == 0:
         return values
-    v = np.moveaxis(values, axis, 0)
-    n = v.shape[0]
+    n = values.shape[axis]
     offs = _central_offsets(m)
     half = offs[-1]
     width = m + 2  # one-sided stencil size, never below the central one
     if n < width:
         raise StencilClipped(f"axis too short for order-{m} stencil")
-    out = np.empty_like(v, dtype=float)
+    out = np.empty(values.shape)
     wc = fd_weights(0.0, offs, m) / h ** m
-    # the terms' sum in place, 16 rows of values at a time, so that it stays in
-    # cache; it starts from the first term + 0.0, as sum() does from 0
-    inner = out[half : n - half]
-    for b in range(0, inner.shape[axis], 16):
-        block = (slice(None),) * axis + (slice(b, b + 16),)
-        acc = np.multiply(wc[0], v[: n - 2 * half][block], out=inner[block])
+    # the terms' sum in place over the flat index, where axis neighbours lie s
+    # apart, 16 rows at a time so that it stays in cache; it starts from the
+    # first term + 0.0, as sum() does from 0
+    flat, res, row = values.reshape(-1), out.reshape(-1), values.shape[1]
+    s = row if axis == 0 else 1
+    lo, hi = half * s, flat.size - half * s
+    for b in range(lo, hi, 16 * row):
+        e = min(b + 16 * row, hi)
+        acc = np.multiply(wc[0], flat[b - lo : e - lo], out=res[b:e])
         acc += 0.0
         for w, o in zip(wc[1:], offs[1:]):
-            acc += w * v[half + o : n - half + o][block]
+            acc += w * flat[b + o * s : e + o * s]
+    # the one-sided edges, which also overwrite the x-sums that crossed a row end
+    v, out_v = np.moveaxis(values, axis, 0), np.moveaxis(out, axis, 0)
     for i in range(half):
         wf = fd_weights(float(i), np.arange(width), m) / h ** m
-        out[i] = np.tensordot(wf, v[:width], axes=(0, 0))
+        out_v[i] = np.tensordot(wf, v[:width], axes=(0, 0))
         wb = fd_weights(float(n - 1 - i), np.arange(n - width, n), m) / h ** m
-        out[n - 1 - i] = np.tensordot(wb, v[n - width :], axes=(0, 0))
-    return np.moveaxis(out, 0, axis)
+        out_v[n - 1 - i] = np.tensordot(wb, v[n - width :], axes=(0, 0))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -525,7 +529,7 @@ class SampledField:
     seed_rtol = 1e-3  # seeds are only located to ~1e-3*dx, so allow matching slack
 
     def __init__(self, grid: Grid1x1, values):
-        values = np.asarray(values, float)
+        values = np.ascontiguousarray(values, float)  # FD sums in one memory order
         if values.shape != (grid.nt, grid.nx):
             raise ValueError(
                 f"values shape {values.shape} does not match grid ({grid.nt}, {grid.nx})"
@@ -695,10 +699,12 @@ def save_grid_csv(path, grid: Grid1x1, values, field_name="psi"):
     buf.write(f"# t0={grid.t0!r} dt={grid.dt!r} nt={grid.nt}\n")
     buf.write(f"# field={field_name}\n")
     buf.write("# layout=row-per-time\n")
+    line = ",".join(["%.15g"] * values.shape[-1]) + "\n"
     for row in values:
-        wide = np.any(np.isfinite(row) & (np.abs(row) >= _G15_MAX))
-        buf.write(",".join(map(("{:.17g}" if wide else "{:.15g}").format, row.tolist())))
-        buf.write("\n")
+        if np.any(np.isfinite(row) & (np.abs(row) >= _G15_MAX)):
+            buf.write(",".join(map("{:.17g}".format, row.tolist())) + "\n")
+        else:
+            buf.write(line % tuple(row.tolist()))
     with open(path, "w") as fh:
         fh.write(buf.getvalue())
 

@@ -249,9 +249,10 @@ def vI_global(mode: ModeSpec, dx):
     arg = m.n_prime(dx) * dx + m.n(dx)
     if arg <= 0:
         raise NonpositiveLogArgument("log argument n'(dx)*dx + n(dx) not positive")
-    rhs = m.n(dx) - (m.c / (mode.xi * dx)) * np.log(arg)
-    if is_pole(m.c, rhs):
-        raise DegenerateDenominator("printed global relation right side vanished")
+    with np.errstate(all="ignore"):  # c/(xi*dx) may overflow: the check below reports it
+        rhs = m.n(dx) - (m.c / (mode.xi * dx)) * np.log(arg)
+    if not math.isfinite(rhs) or is_pole(m.c, rhs):
+        raise DegenerateDenominator("printed global relation right side vanished or not finite")
     return m.c / rhs
 
 
@@ -268,7 +269,8 @@ def vI_local_rederived(mode: ModeSpec, x):
     well posed.  The jet is taken at t = n(x)*x/c, where the phase is 0, so
     psi = 1 there and no derivative underflows however large xi*n*x/c is.
     """
-    t = mode.medium.n(x) * x / mode.medium.c
+    with np.errstate(all="ignore"):  # an inf t has no PV: reported as undefined below
+        t = mode.medium.n(x) * x / mode.medium.c
     v = pv_point(mode.field(envelope="exp"), x, t, order=1)
     if v is None:
         raise DegenerateDenominator("rederived first-order PV undefined")
@@ -286,7 +288,10 @@ def vI_global_rederived(mode: ModeSpec, dx):
             raise PoleOnPath("the rederived local PV vanishes inside the interval")
         return 1.0 / float(v)
 
-    return dx / integrate(slowness, 0.0, dx)[0]
+    total = integrate(slowness, 0.0, dx)[0]
+    if not 0 < abs(total) < math.inf:
+        raise DegenerateDenominator("the slowness integral is 0 or not finite")
+    return dx / total
 
 
 # QUADPACK's dqk21 (Piessens et al., QUADPACK, Springer 1983) in doubles: the

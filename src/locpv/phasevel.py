@@ -100,19 +100,24 @@ def pv_field(field, grid: Grid1x1, order: int, eps_den=None) -> PhaseVelocityFie
     num, den = field.sweep(grid, [(1, order), (0, order + 1)])
     a = np.abs(den)
     if eps_den is None:
-        scale = np.max(a, where=a < np.inf, initial=0.0)
+        scale = np.max(a, initial=0.0)
+        if not scale < np.inf:  # an inf or a nan: the largest finite |den|
+            scale = np.max(a, where=a < np.inf, initial=0.0)
         eps_den = max(EPS_DEN_FLOOR, EPS_DEN_REL * scale)
-    # finite num and den, |den| >= eps_den and not is_pole, 16 rows at a time
-    mask = np.empty(a.shape, bool)
-    for b in range(0, len(a), 16):
-        d, thr = a[b : b + 16], np.abs(num[b : b + 16])
-        thr *= EPS_POLE_REL
-        m = np.greater_equal(d, thr, out=mask[b : b + 16])
-        m &= d >= max(eps_den, EPS_DEN_FLOOR)
-        m &= d < np.inf  # and so thr < inf, as d >= thr
-    values = a  # a's buffer, reused; -(num / den) has the bits of -num / den
-    values.fill(np.nan)
-    np.negative(np.divide(num, den, out=values, where=mask), out=values, where=mask)
+    # finite num and den, |den| >= eps_den and not is_pole, then -num / den or nan
+    # into a's buffer, 16 rows at a time
+    values, mask, thr = a, np.empty(a.shape, bool), np.empty(a[:16].shape)
+    with np.errstate(all="ignore"):
+        for b in range(0, len(a), 16):
+            rows = slice(b, b + 16)
+            d, m = a[rows], mask[rows]
+            t = np.abs(num[rows], out=thr[: len(d)])
+            t *= EPS_POLE_REL
+            np.greater_equal(d, t, out=m)
+            m &= d >= max(eps_den, EPS_DEN_FLOOR)
+            m &= d < np.inf  # and so thr < inf, as d >= thr
+            np.negative(np.divide(num[rows], den[rows], out=d), out=d)
+            np.copyto(d, np.nan, where=~m)
     return PhaseVelocityField(order, grid, values, mask, float(eps_den))
 
 

@@ -54,7 +54,9 @@ def _laplacian(u, periodic, out):
 
     Periodic ends wrap around; reflecting ends get 0.
     """
-    out[1:-1] = u[2:] - 2.0 * u[1:-1] + u[:-2]
+    mid = np.multiply(2.0, u[1:-1], out=out[1:-1])  # u[2:] - 2.0 * u[1:-1] + u[:-2]
+    np.subtract(u[2:], mid, out=mid)
+    mid += u[:-2]
     if periodic:
         out[0] = u[1] - 2.0 * u[0] + u[-1]
         out[-1] = u[0] - 2.0 * u[-1] + u[-2]
@@ -84,16 +86,18 @@ def _leapfrog(psi, a2, dt, dx, gamma, periodic):
     r = (dt * dt) / (dx * dx)
     cp = 1.0 + gamma * dt
     cm = 1.0 - gamma * dt
-    lap = np.empty(nx)
+    ra2 = r * a2
+    lap, tmp = np.empty(nx), np.empty(nx)
     with np.errstate(all="ignore"):  # the guard below stops at an inf or a nan
         for n in range(1, nt - 1):
-            cur = psi[n]
-            _laplacian(cur, periodic, lap)
-            psi[n + 1] = (2.0 * cur - cm * psi[n - 1] + r * a2 * lap) / cp
+            # (2.0 * psi[n] - cm * psi[n - 1] + ra2 * lap) / cp, in place
+            nxt = np.multiply(2.0, psi[n], out=psi[n + 1])
+            nxt -= np.multiply(cm, psi[n - 1], out=tmp)
+            nxt += np.multiply(ra2, _laplacian(psi[n], periodic, lap), out=tmp)
+            nxt /= cp
             if not periodic:
-                psi[n + 1, 0] = 0.0
-                psi[n + 1, -1] = 0.0
-            if not np.max(np.abs(psi[n + 1])) <= BLOWUP_GUARD:
+                nxt[0] = nxt[-1] = 0.0
+            if not (nxt.max() <= BLOWUP_GUARD and nxt.min() >= -BLOWUP_GUARD):
                 return n + 1
     return -1
 

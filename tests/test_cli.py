@@ -273,10 +273,26 @@ class TestExitCodes:
             # 2 * gamma * psi_t overflows: the first step is inf and nan
             (["simulate", "--grid=-5,0.025,400x0,0.02,400", "--initial", "gauss:-2.5,0.5",
               "--gamma=1e308", "--out", "OUT"], 1, "error: NonfiniteBlowup"),
+            # the initial rate's difference step 1e-6 * dx underflows to 0
+            (["simulate", "--grid=-5,1e-320,40x0,1e-320,40", "--initial", "gauss:-2.5,0.7",
+              "--out", "OUT"], 2, "error: UsageError: initial data must be finite"),
+            # c/(xi*dx) overflows in the printed relation, and the slowness integral
+            # over [0, 5e-324] is 0
+            (["medium", "--n", "linear:1,0.1", "--c", "1", "--dx=5e-324", "--xi", "1",
+              "--out", "OUT"], 1, "error: DegenerateDenominator"),
+            (["medium", "--n", "linear:1,0.1", "--c", "1", "--dx=1e-310", "--xi", "1",
+              "--out", "OUT"], 1, "error: DegenerateDenominator"),
+            # n(x) * x / c overflows where the rederived PV is taken
+            (["medium", "--n", "linear:1,0.1", "--c", "1e-320", "--dx", "2", "--xi", "1",
+              "--out", "OUT"], 1, "error: DegenerateDenominator"),
+            (["medium", "--n", "linear:1,0.1", "--c", "1", "--dx=1e308", "--xi", "1",
+              "--out", "OUT"], 1, "error: DegenerateDenominator"),
         ],
         ids=["subnormal-ramp-width", "audit-infinite-light-speed", "subnormal-track-step",
              "audit-subnormal-light-speed", "add-huge-light-speed", "subnormal-initial-width",
-             "far-initial-center", "infinite-initial-amplitude", "huge-gamma"],
+             "far-initial-center", "infinite-initial-amplitude", "huge-gamma",
+             "subnormal-grid-steps", "subnormal-medium-dx", "tiny-medium-dx",
+             "subnormal-light-speed", "huge-medium-dx"],
     )
     def test_edge_values_print_one_error_line(self, argv, code, line, tmp_path):
         # in a child, so that numpy warnings would reach its stderr; a None

@@ -19,7 +19,8 @@ from locpv.field import (
     sample,
     save_grid_csv,
 )
-from locpv.field import _diff_axis
+from locpv.field import SAMPLED_NMAX, _diff_axis
+from locpv.phasevel import pv_field
 
 
 class TestGrid:
@@ -137,6 +138,30 @@ class TestSampling:
             SampledField(g, vals)
 
 
+def _moveaxis_diff(values, h, m, axis):
+    """The FD loop over the moved axis in 16-slice blocks, with tensordot edges: a
+    reference that runs _diff_axis's sums in their order."""
+    v = np.moveaxis(values, axis, 0)
+    n = v.shape[0]
+    offs = np.arange(-((m + 1) // 2), (m + 1) // 2 + 1)
+    half, width = offs[-1], m + 2
+    out = np.empty_like(v, dtype=float)
+    wc = locpv.field.fd_weights(0.0, offs, m) / h ** m
+    inner = out[half : n - half]
+    for b in range(0, inner.shape[axis], 16):
+        block = (slice(None),) * axis + (slice(b, b + 16),)
+        acc = np.multiply(wc[0], v[: n - 2 * half][block], out=inner[block])
+        acc += 0.0
+        for w, o in zip(wc[1:], offs[1:]):
+            acc += w * v[half + o : n - half + o][block]
+    for i in range(half):
+        wf = locpv.field.fd_weights(float(i), np.arange(width), m) / h ** m
+        out[i] = np.tensordot(wf, v[:width], axes=(0, 0))
+        wb = locpv.field.fd_weights(float(n - 1 - i), np.arange(n - width, n), m) / h ** m
+        out[n - 1 - i] = np.tensordot(wb, v[n - width :], axes=(0, 0))
+    return np.moveaxis(out, 0, axis)
+
+
 class TestFiniteDifferences:
     def test_first_derivatives_within_1e4(self):
         g = Grid1x1(-2.0, 0.01, 401, -1.0, 0.01, 201)
@@ -188,6 +213,44 @@ class TestFiniteDifferences:
         expected = sum(wk * v[half + o : n - half + o] for wk, o in zip(w, offsets))
         got = np.moveaxis(_diff_axis(values, 0.1, m, axis), axis, 0)[half : n - half]
         np.testing.assert_array_equal(got.view(np.uint64), expected.view(np.uint64))
+
+    @pytest.mark.parametrize("m", range(1, SAMPLED_NMAX + 2))
+    @pytest.mark.parametrize("axis", [0, 1])
+    @pytest.mark.parametrize("shape", [(7, 9), (37, 11), (40, None), (None, 33), (16, 5)],
+                             ids=["nt<16", "nt=37", "nx=width", "nt=width", "nt=16"])
+    def test_whole_output_equals_the_moveaxis_loop_bitwise(self, m, axis, shape):
+        # edges included; the x-sums over the flat index cross each row end,
+        # where signed zeros sit, before the one-sided edges overwrite them
+        shape = tuple(m + 2 if n is None else n for n in shape)
+        rng = np.random.default_rng(10 * m + axis)
+        values = rng.normal(size=shape)
+        values[rng.random(shape) < 0.2] = 0.0
+        values[::2, 0], values[1::2, 0] = -0.0, 0.0
+        values[::3, -1], values[1::3, -1] = -0.0, 0.0
+        values[::2, :2] *= -1.0
+        expected = _moveaxis_diff(values, 0.3, m, axis)
+        got = _diff_axis(values, 0.3, m, axis)
+        assert got.flags.c_contiguous
+        np.testing.assert_array_equal(got.view(np.uint64), expected.view(np.uint64))
+
+    def test_fd_grids_do_not_depend_on_memory_layout(self):
+        # the one-sided edges' tensordot sums in an order that follows the layout
+        g = Grid1x1(-1.0, 0.25, 5, 0.0, 0.05, 40)
+        v = np.random.default_rng(4).normal(size=(g.nt, g.nx))
+        wide = np.zeros((g.nt, 2 * g.nx))
+        wide[:, ::2] = v
+        fields = [SampledField(g, a) for a in (v, np.asfortranarray(v), wide[:, ::2])]
+        for p in range(SAMPLED_NMAX + 2):
+            for q in range(SAMPLED_NMAX + 2 - p):
+                grids = [f.derivative_grid(p, q).view(np.uint64) for f in fields]
+                np.testing.assert_array_equal(grids[1], grids[0])
+                np.testing.assert_array_equal(grids[2], grids[0])
+        for order in range(SAMPLED_NMAX + 1):
+            pvs = [pv_field(f, g, order) for f in fields]
+            for pv in pvs[1:]:
+                np.testing.assert_array_equal(pv.mask, pvs[0].mask)
+                np.testing.assert_array_equal(pv.values[pv.mask].view(np.uint64),
+                                              pvs[0].values[pv.mask].view(np.uint64))
 
     def test_out_of_domain_and_clipped(self):
         g = Grid1x1(0.0, 0.1, 21, 0.0, 0.1, 21)

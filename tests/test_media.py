@@ -259,6 +259,11 @@ class TestFirstOrderPrinted:
         with pytest.raises(DegenerateInterval):
             vI_global(ModeSpec(1.0, ConstantIndex(1.0)), 0.0)
 
+    def test_global_subnormal_interval_is_degenerate(self):
+        # c/(xi*dx) overflows to inf, and inf * log(n(dx)) = inf * 0 is nan
+        with pytest.raises(DegenerateDenominator):
+            vI_global(ModeSpec(1.0, LinearIndex(1.0, 0.1)), 1e-310)
+
 
 class TestRederivation:
     def test_local_homogeneous_positive_sign(self):
@@ -280,6 +285,11 @@ class TestRederivation:
             assert vI_local_rederived(mode, x) == pytest.approx(-vI_local(mode, x), abs=1e-12)
         (row,) = dynamic_separation(mode.medium, 2.0, [xi])
         assert row.vI_rederived == pytest.approx(row.vI_global, rel=1e-9)
+
+    def test_global_over_a_subnormal_interval_is_degenerate(self):
+        # the quadrature over [0, 5e-324] is 0
+        with pytest.raises(DegenerateDenominator):
+            vI_global_rederived(ModeSpec(1.0, LinearIndex(1.0, 0.1)), 5e-324)
 
     def test_global_printed_matches_rederived(self):
         mode = ModeSpec(10.0, LinearIndex(1.0, 0.1))

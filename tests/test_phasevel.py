@@ -21,6 +21,7 @@ from locpv.field import (
 from locpv.phasevel import (
     EPS_DEN_FLOOR,
     EPS_DEN_REL,
+    EPS_POLE_REL,
     classical_diagnostics,
     damped_spectrum,
     is_pole,
@@ -193,6 +194,61 @@ class TestSweepMask:
         finally:
             tracemalloc.stop()
         assert peak <= 1.5 * g.nt * g.nx * 8
+
+
+def _two_pass_pv_field(field, grid, order, eps_den=None):
+    """pv_field's mask in 16-row blocks after a where= max, then a where= divide and
+    negate over a nan fill: a reference that gives its bits in another order."""
+    num, den = field.sweep(grid, [(1, order), (0, order + 1)])
+    a = np.abs(den)
+    if eps_den is None:
+        scale = np.max(a, where=a < np.inf, initial=0.0)
+        eps_den = max(EPS_DEN_FLOOR, EPS_DEN_REL * scale)
+    mask = np.empty(a.shape, bool)
+    for b in range(0, len(a), 16):
+        d, thr = a[b : b + 16], np.abs(num[b : b + 16])
+        thr *= EPS_POLE_REL
+        m = np.greater_equal(d, thr, out=mask[b : b + 16])
+        m &= d >= max(eps_den, EPS_DEN_FLOOR)
+        m &= d < np.inf
+    values = np.full(a.shape, np.nan)
+    np.negative(np.divide(num, den, out=values, where=mask), out=values, where=mask)
+    return values, mask, float(eps_den)
+
+
+class TestOnePassMask:
+    @pytest.mark.parametrize("expression, x0, dx", [
+        ("log(x)*sin(3*t-2*x)", -1.0, 0.05),  # nan at x <= 0
+        ("1/x*sin(t-x)", -1.0, 0.05),
+        ("exp(x)*sin(t-x)", 690.0, 0.5),  # inf where exp overflows, past x = 709.78
+    ])
+    @pytest.mark.parametrize("nt", [5, 16, 37])
+    @pytest.mark.parametrize("eps_den", [None, 0.0])
+    def test_equals_the_two_pass_mask_with_inf_and_nan_denominators(self, expression, x0, dx,
+                                                                     nt, eps_den):
+        g = Grid1x1(x0, dx, 41, 0.0, 0.05, nt)
+        fld = CustomField(expression)
+        values, mask, eps = _two_pass_pv_field(fld, g, 1, eps_den)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            pvf = pv_field(fld, g, 1, eps_den)
+        den = fld.sweep(g, [(0, 2)])[0]
+        assert (np.isinf(den) if x0 > 0 else np.isnan(den)).any()
+        assert pvf.eps_den == eps and mask.any() and not mask.all()
+        np.testing.assert_array_equal(pvf.mask, mask)
+        np.testing.assert_array_equal(pvf.values.view(np.uint64), values.view(np.uint64))
+
+    @pytest.mark.parametrize("order", [0, 1, 2])
+    def test_equals_the_two_pass_mask_on_sampled_grids(self, order):
+        g = Grid1x1(-3.0, 0.02, 301, 0.0, 0.05, 101)
+        s = sample(DampedTranslational(1.0, 0.2), g)
+        for grid in (g, Grid1x1(-2.9, 0.013, 250, 0.1, 0.03, 53)):
+            values, mask, eps = _two_pass_pv_field(s, grid, order)
+            pvf = pv_field(s, grid, order)
+            assert pvf.eps_den == eps
+            np.testing.assert_array_equal(pvf.mask, mask)
+            np.testing.assert_array_equal(pvf.values.view(np.uint64),
+                                          values.view(np.uint64))
 
 
 class TestIsPole:

@@ -6,7 +6,7 @@ import pytest
 from locpv.errors import CFLViolation, NonfiniteBlowup
 from locpv.field import Grid1x1
 from locpv.phasevel import pv_field
-from locpv.simulate import SimSpec, discrete_energy, run, run_from_levels
+from locpv.simulate import BLOWUP_GUARD, SimSpec, discrete_energy, run, run_from_levels
 
 W = 0.7          # pulse width
 X_C = -2.5       # pulse center
@@ -206,3 +206,26 @@ class TestKernel:
         g = Grid1x1(-5.0, 0.3, 40, 0.0, 0.24, 30)
         spec = SimSpec(g, speed, gamma, gauss_pulse, lambda x: 0.3 * np.sin(x), boundary)
         assert np.array_equal(run(spec).values, plain_leapfrog(spec))
+
+    @pytest.mark.parametrize(
+        "profile, rate, gamma, kind",
+        [
+            # gamma * dt = -1 makes the update's divisor 0: rows of 0/0 and of x/0
+            (np.ones_like, np.zeros_like, -25.0, "nan"),
+            (np.zeros_like, np.ones_like, -25.0, "+inf"),
+            (np.zeros_like, lambda x: -np.ones_like(x), -25.0, "-inf"),
+            (gauss_pulse, gauss_pulse_dx, -10.0, "finite"),
+        ],
+        ids=["nan", "plus-inf", "minus-inf", "finite-runaway"],
+    )
+    def test_blowup_guard_stops_at_the_plain_loops_row(self, profile, rate, gamma, kind):
+        g = Grid1x1(-1.0, 0.05, 40, 0.0, 0.04, 90)
+        spec = SimSpec(g, 1.0, gamma, profile, rate)
+        with np.errstate(all="ignore"):
+            ref = plain_leapfrog(spec)
+        bad = [n for n in range(2, g.nt) if not np.max(np.abs(ref[n])) <= BLOWUP_GUARD]
+        row = ref[bad[0]]
+        assert {"nan": np.isnan(row).all(), "+inf": (row == np.inf).all(),
+                "-inf": (row == -np.inf).all(), "finite": np.isfinite(row).all()}[kind]
+        with pytest.raises(NonfiniteBlowup, match=f"at step {bad[0]}$"):
+            run(spec)
