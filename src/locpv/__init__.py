@@ -31,7 +31,6 @@ from .field import (
     Grid1x1,
     Harmonic,
     InhomogeneousMode,
-    Jet,
     KinkDamped,
     SampledField,
     Translational,

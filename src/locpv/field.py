@@ -3,10 +3,12 @@
 Two kinds of field are supported: closed-form analytic families, whose jets
 (truncated Taylor series) are recorded once per order as float code, and
 uniformly sampled grids differentiated by central finite-difference stencils
-and read off the grid through a local 4x4 Lagrange cubic.  Both answer
-``eval``, ``jet``, ``partials``, ``jet_batch`` and ``sweep`` (nan outside the
-domain, where ``jet`` and ``partials`` raise OutOfDomain), ``domain``, ``grid``
-(None if analytic), ``omega_over_k`` (a harmonic's, else None) and the tracker's policy.
+and read off the grid through a local 4x4 Lagrange cubic.  Both answer one
+derivative query, ``derivs(x, t, pairs)``, over the outer product of x and t
+(nan outside the domain, where a float point raises OutOfDomain), with
+``eval`` and ``sweep`` on top of it, the tracker's three-partial fast path
+``partials``, ``domain``, ``grid`` (None if analytic), ``omega_over_k`` (a
+harmonic's, else None) and the tracker's policy.
 """
 
 from __future__ import annotations
@@ -34,7 +36,6 @@ from .taylor import (
 
 __all__ = [
     "Grid1x1",
-    "Jet",
     "AnalyticField",
     "Harmonic",
     "Translational",
@@ -60,7 +61,7 @@ _G15_MAX = 1.79769313486231e308
 
 
 # ---------------------------------------------------------------------------
-# grids and jets
+# grids
 # ---------------------------------------------------------------------------
 
 
@@ -107,32 +108,13 @@ class Grid1x1:
         return (self.x0 <= x) & (x <= self.x_max) & (self.t0 <= t) & (t <= self.t_max)
 
 
-@dataclass
-class Jet:
-    """All mixed partials of a field at one point, up to a total order.
-
-    ``flat`` holds d^{p+q} psi / dt^p dx^q for p + q <= order, in ascending
-    (p, q); ``table[p, q]`` lays them out square, with 0 where p+q > order.
-    """
-
-    x: float
-    t: float
-    order: int
-    flat: list
-
-    def deriv(self, p, q):
-        if p < 0 or q < 0 or p + q > self.order:
-            raise OrderTooHigh(f"jet holds orders 0..{self.order}, not ({p}, {q})")
-        return self.flat[p * (2 * self.order + 3 - p) // 2 + q]
-
-    @property
-    def value(self):
-        return self.flat[0]
-
-    @property
-    def table(self):
-        r = range(self.order + 1)
-        return np.array([[self.deriv(p, q) if p + q <= self.order else 0.0 for q in r] for p in r])
+def _extent(pairs, nmax):
+    """(highest p + q, highest p) of the (p, q) pairs of a derivative query; OrderTooHigh
+    unless every p + q lies in 0..nmax + 1."""
+    order = max(p + q for p, q in pairs)
+    if order > nmax + 1 or any(p < 0 or q < 0 for p, q in pairs):
+        raise OrderTooHigh(f"derivative orders run over 0..{nmax + 1} here, not {pairs}")
+    return order, max(p for p, _ in pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -151,7 +133,8 @@ def envelope_derivs(envelope, phi, order):
     """Derivatives d^k env / d phi^k, k = 0..order, of a named envelope at the scalar phi."""
     _check_envelope(envelope)
     _, u = Taylor2.variables(0.0, phi, order)
-    return ENVELOPES[envelope](u).deriv_table()[:, 0]
+    jet = ENVELOPES[envelope](u)
+    return np.array([jet.deriv(p, 0) for p in range(order + 1)])
 
 
 # ---------------------------------------------------------------------------
@@ -160,8 +143,8 @@ def envelope_derivs(envelope, phi, order):
 
 
 class AnalyticField:
-    """Base class: subclasses define expr() over Taylor2 coordinate jets,
-    which ``jet`` records once per order (``taylor.straight_line``)."""
+    """Base class: subclasses define expr() over Taylor2 coordinate jets, which
+    point queries record once per order and dt-degree (``taylor.straight_line``)."""
 
     nmax = ANALYTIC_NMAX
     grid = omega_over_k = None  # no sampling grid; no single omega/k
@@ -172,32 +155,42 @@ class AnalyticField:
         raise NotImplementedError
 
     def eval(self, x, t):
-        out = self.jet_batch(x, t, 0)[0, 0]
-        return out if np.ndim(out) else float(out)
-
-    def _check_order(self, order):
-        if not 0 <= order <= self.nmax + 1:
-            raise OrderTooHigh(f"analytic fields support jets of order 0..{self.nmax + 1}")
+        return self.derivs(x, t, [(0, 0)])[0]
 
     def _recorded(self, order, tdeg):
         """The jet of an order and dt-degree as recorded code, recorded at its first use."""
         try:
             return self._jets[order, tdeg]
         except (AttributeError, KeyError):
-            self._check_order(order)
+            if order > self.nmax + 1:  # a cached jet has passed this check
+                raise OrderTooHigh(f"analytic fields support jets of order 0..{self.nmax + 1}")
             fn = straight_line(self.expr, order, tdeg)
             self.__dict__.setdefault("_jets", {})[order, tdeg] = fn
             return fn
 
-    def jet(self, x, t, order) -> Jet:
-        fn = self._recorded(order, order)
-        x, t = float(x), float(t)
-        return Jet(x, t, order, fn(x, t))
+    def derivs(self, x, t, pairs):
+        """d^{p+q} psi / dt^p dx^q for each (p, q) of pairs at every (x, t) of the outer
+        product of x and t, floats or 1-D arrays: an array of shape np.shape(t) +
+        np.shape(x) per pair, a float at a float point.  One jet of the highest p + q and
+        p asked, recorded code at a float point; nan or inf where the field is undefined,
+        without numpy warnings."""
+        order, tdeg = _extent(pairs, self.nmax)
+        with np.errstate(all="ignore"):
+            if np.ndim(x) == np.ndim(t) == 0:
+                flat = self._recorded(order, tdeg)(float(x), float(t))
+                # the blocks p = 0, 1, ... sit where they sit in the whole triangle
+                return [flat[p * (2 * order + 3 - p) // 2 + q] for p, q in pairs]
+            # the arrays that outlive the jet first: its temporaries then free the top of
+            # the heap, for the next allocations to reuse, rather than a hole below them
+            out = [np.empty(np.shape(t) + np.shape(x)) for _ in pairs]
+            t = np.reshape(t, np.shape(t) + (1,) * np.ndim(x)) if np.ndim(t) else t
+            jet = self.expr(*Taylor2.variables(x, t, order, tdeg))
+            return [jet.deriv(p, q, out=o) for (p, q), o in zip(pairs, out)]
 
     def partials(self, x, t, order):
         """(d^N psi/dx^N, d^{N+1} psi/dx^{N+1}, d^{N+1} psi/dt dx^N) at one point, N =
-        order: entries (0, N), (0, N+1) and (1, N) of ``jet(x, t, order + 1)``, bit for bit,
-        from a jet recorded at dt-degree 1, whose flat entries are the whole one's first."""
+        order: ``derivs(x, t, [(0, N), (0, N+1), (1, N)])``, bit for bit, from the same
+        recorded code, without its errstate."""
         if order < 0:
             raise OrderTooHigh(f"phase velocity orders start at 0, not {order}")
         flat = self._recorded(order + 1, 1)(float(x), float(t))
@@ -208,18 +201,8 @@ class AnalyticField:
         return span / 1e4
 
     def sweep(self, grid: Grid1x1, pairs):
-        """d^{p+q} psi / dt^p dx^q on grid, an (nt, nx) array per (p, q): the entries of
-        ``jet_batch``, bit for bit, from one jet of the highest p + q and p asked."""
-        if any(p < 0 or q < 0 for p, q in pairs):
-            raise OrderTooHigh(f"derivative orders start at 0, not {pairs}")
-        order, tdeg = max(p + q for p, q in pairs), max(p for p, _ in pairs)
-        self._check_order(order)
-        # the arrays that outlive the jet first: its temporaries then free the top of
-        # the heap, for the next allocations to reuse, rather than a hole below them
-        out = [np.empty((grid.nt, grid.nx)) for _ in pairs]
-        with np.errstate(all="ignore"):
-            jet = self.expr(*Taylor2.variables(grid.xs, grid.ts[:, None], order, tdeg))
-            return [jet.deriv(p, q, out=o) for (p, q), o in zip(pairs, out)]
+        """``derivs`` at the nodes of grid, an (nt, nx) array per (p, q)."""
+        return self.derivs(grid.xs, grid.ts, pairs)
 
     def domain(self, grid):  # the cells of grid in the domain: all
         return np.ones((grid.nt, grid.nx), bool)
@@ -227,13 +210,6 @@ class AnalyticField:
     def __getstate__(self):
         # recorded jets are code, which does not pickle; a copy records its own
         return {k: v for k, v in self.__dict__.items() if k != "_jets"}
-
-    def jet_batch(self, x, t, order):
-        """Jet tables, shape (order+1, order+1, *batch), at broadcast points;
-        nan or inf where the field is undefined, without numpy warnings."""
-        self._check_order(order)
-        with np.errstate(all="ignore"):
-            return self.expr(*Taylor2.variables(x, t, order)).deriv_table()
 
 
 @dataclass(frozen=True)
@@ -478,6 +454,7 @@ def _central_offsets(m):
     return np.arange(-half, half + 1)
 
 
+@np.errstate(all="ignore")  # samples near the largest double overflow to inf: masked later
 def _diff_axis(values, h, m, axis):
     """m-th derivative along axis, central interior, one-sided near edges."""
     if m == 0:
@@ -565,23 +542,38 @@ class SampledField:
             self._stack = np.pad(stack, pad, mode="edge") if min(g.nt, g.nx) < 4 else stack
         return self._stack[:k]
 
-    def sweep(self, grid: Grid1x1, pairs):
-        """As ``AnalyticField.sweep``: the cached ``derivative_grid`` on the sampling grid,
-        elsewhere its interpolant, nan outside ``domain(grid)`` (no extrapolation)."""
-        if grid == self.grid:
-            return [self.derivative_grid(p, q) for p, q in pairs]
-        g, outside, out = self.grid, ~self.domain(grid), []
-        jt, wt = _stencil(np.clip(grid.ts, g.t0, g.t_max), g.t0, g.dt, g.nt)
-        ix, wx = _stencil(np.clip(grid.xs, g.x0, g.x_max), g.x0, g.dx, g.nx)
+    def derivs(self, x, t, pairs):
+        """As ``AnalyticField.derivs``, from the ``derivative_grid`` of each (p, q) through
+        the Lagrange cubic, along t and then along x: nan at the points outside the grid
+        (no extrapolation), where a float point raises OutOfDomain, and StencilClipped
+        only if a point is inside."""
+        _extent(pairs, self.nmax)
+        g, shape = self.grid, np.shape(t) + np.shape(x)
+        xs, ts = np.atleast_1d(np.asarray(x, float)), np.atleast_1d(np.asarray(t, float))
+        inside = g.contains(xs, ts[:, None])
+        if not inside.any():
+            if not shape:
+                raise OutOfDomain(f"point ({x}, {t}) outside the sampling grid")
+            return [np.full(shape, np.nan) for _ in pairs]
+        # the stencils of the nearest nodes inside, nan ones too (fmax drops a nan)
+        jt, wt = _stencil(np.fmin(np.fmax(ts, g.t0), g.t_max), g.t0, g.dt, g.nt)
+        ix, wx = _stencil(np.fmin(np.fmax(xs, g.x0), g.x_max), g.x0, g.dx, g.nx)
         # along t onto the query times, on the columns the x-stencils read, then
         # along x: a point's sums in their order
-        lo, hi, wt = ix.min(), min(ix.max() + 4, g.nx), [w[:, None] for w in wt]
+        lo, hi, wt, out = ix.min(), min(ix.max() + 4, g.nx), [w[:, None] for w in wt], []
         for p, q in pairs:
             d = self.derivative_grid(p, q)[:, lo:hi]
             rows = _wsum([d[np.minimum(jt + k, g.nt - 1)] for k in range(4)], wt)
-            out.append(_wsum([rows[:, np.minimum(ix - lo + k, hi - lo - 1)] for k in range(4)], wx))
-            out[-1][outside] = np.nan
+            v = _wsum([rows[:, np.minimum(ix - lo + k, hi - lo - 1)] for k in range(4)], wx)
+            v[~inside] = np.nan
+            out.append(v.reshape(shape) if shape else float(v[0, 0]))
         return out
+
+    def sweep(self, grid: Grid1x1, pairs):
+        """``derivs`` at the nodes of grid; on the sampling grid, the cached
+        ``derivative_grid``, which also raises StencilClipped where no node is inside."""
+        own = [self.derivative_grid(p, q) for p, q in pairs]
+        return own if grid == self.grid else self.derivs(grid.xs, grid.ts, pairs)
 
     def domain(self, grid):
         """Which cells of grid lie in the closed sampling rectangle."""
@@ -590,7 +582,7 @@ class SampledField:
     # -- queries -------------------------------------------------------------
 
     def eval(self, x, t):
-        return float(self.jet(x, t, 0).value)
+        return self.derivs(x, t, [(0, 0)])[0]
 
     @property
     def seed_scan(self):  # the grid width and 1e-3*dx
@@ -600,7 +592,7 @@ class SampledField:
         return min(self.grid.dt, span / 1000.0)
 
     def _point(self, x, t, order, rows):
-        """The given rows of ``_stacked(order)`` at the float point (x, t): ``jet_batch``'s
+        """The given rows of ``_stacked(order)`` at the float point (x, t): ``derivs``'s
         sums in their order, on the Python floats of one 4x4 block, the last one kept."""
         g = self.grid
         if not g.contains(x, t):
@@ -618,45 +610,19 @@ class SampledField:
                 for (a0, b0, c0, d0), (a1, b1, c1, d1), (a2, b2, c2, d2), (a3, b3, c3, d3)
                 in map(block.__getitem__, rows)]
 
-    def jet(self, x, t, order) -> Jet:
-        if not 0 <= order <= self.nmax + 1:
-            raise OrderTooHigh(f"sampled fields support jets of order 0..{self.nmax + 1}")
-        x, t = float(x), float(t)
-        return Jet(x, t, order, self._point(x, t, order, _JET_ORDER[order]))
-
     def partials(self, x, t, order):
-        """As ``AnalyticField.partials``: three entries of ``jet(x, t, order + 1)``."""
+        """As ``AnalyticField.partials``, from the whole stack of order + 1, so that a
+        stencil longer than an axis raises StencilClipped for every order it reaches."""
         if not 0 <= order <= self.nmax:
             raise OrderTooHigh(f"sampled fields support phase velocity orders 0..{self.nmax}")
         return tuple(self._point(float(x), float(t), order + 1, _PARTIAL_ROWS[order]))
 
-    def jet_batch(self, x, t, order):
-        """The tables of ``jet`` at broadcast points, as from an analytic field;
-        nan at points outside the grid, and StencilClipped only if one is inside."""
-        if not 0 <= order <= self.nmax + 1:
-            raise OrderTooHigh(f"sampled fields support jets of order 0..{self.nmax + 1}")
-        x, t = np.broadcast_arrays(np.asarray(x, float), np.asarray(t, float))
-        g = self.grid
-        inside = g.contains(x, t)
-        table = np.full((order + 1, order + 1) + x.shape, np.nan)
-        if inside.any():
-            stack = self._stacked(order)
-            jt, wt = _stencil(t[inside], g.t0, g.dt, g.nt)
-            ix, wx = _stencil(x[inside], g.x0, g.dx, g.nx)
-            vals = _wsum([_wsum([stack[:, jt + j, ix + i] for j in range(4)], wt)
-                          for i in range(4)], wx)
-            table[:, :, inside] = 0.0
-            for (p, q), v in zip(_PAIRS, vals):
-                table[p, q, inside] = v
-        return table
 
-
-# the (p, q) of the stack by ascending p + q; _JET_ORDER[m]: where an order-m jet's entries
-# sit; _PARTIAL_ROWS[n]: where those of ``partials`` sit, (0, n), (0, n+1), (1, n) of m = n+1
+# the (p, q) of the stack by ascending p + q; _PARTIAL_ROWS[n]: where those of
+# ``partials`` sit, (0, n), (0, n+1) and (1, n)
 _PAIRS = [(p, d - p) for d in range(SAMPLED_NMAX + 2) for p in range(d + 1)]
-_JET_ORDER = [[_PAIRS.index((p, q)) for p in range(m + 1) for q in range(m + 1 - p)]
-              for m in range(SAMPLED_NMAX + 2)]
-_PARTIAL_ROWS = [[m[n], m[n + 1], m[2 * n + 2]] for n, m in enumerate(_JET_ORDER[1:])]
+_PARTIAL_ROWS = [[_PAIRS.index(pq) for pq in ((0, n), (0, n + 1), (1, n))]
+                 for n in range(SAMPLED_NMAX + 1)]
 
 
 def _stencil(c, c0, h, n):
@@ -684,7 +650,7 @@ def _wsum(terms, weights):
 
 def sample(field: AnalyticField, grid: Grid1x1) -> SampledField:
     """Evaluate an analytic field exactly on every grid node."""
-    return SampledField(grid, field.eval(grid.xs, grid.ts[:, None]))
+    return SampledField(grid, field.derivs(grid.xs, grid.ts, [(0, 0)])[0])
 
 
 # ---------------------------------------------------------------------------

@@ -124,7 +124,11 @@ class TanhRampIndex(MediumProfile):
             out = []
             for k in range(m + 1):
                 const = (self.n0 + 0.5 * self.dn) if k == 0 else 0.0
-                out.append(const + 0.5 * self.dn * y[k] / self.width ** k)
+                try:
+                    scale = self.width ** k
+                except OverflowError:  # a float power raises where numpy gives inf
+                    scale = np.inf
+                out.append(const + 0.5 * self.dn * y[k] / scale)
         return out
 
 

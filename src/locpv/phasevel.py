@@ -22,7 +22,6 @@ __all__ = [
     "is_pole",
     "pv_point",
     "pv_ratio",
-    "pv_from_jet",
     "pv_field",
     "kink_spectrum",
     "damped_spectrum",
@@ -70,11 +69,6 @@ def pv_ratio(num, den):
     if not (math.isfinite(num) and math.isfinite(den)) or is_pole(num, den):
         return None
     return -num / den
-
-
-def pv_from_jet(jet, order):
-    """Phase velocity of the given order from a jet; None at a pole or a non-finite ratio."""
-    return pv_ratio(jet.deriv(1, order), jet.deriv(0, order + 1))
 
 
 def pv_point(field, x, t, order):
@@ -161,6 +155,7 @@ def _zero_crossings(xs, row):
     return crossings
 
 
+@np.errstate(all="ignore")  # crossings and slopes of samples near the largest double overflow
 def classical_diagnostics(field, grid: Grid1x1) -> ClassicalDiagnostics:
     """Local wavelength field and the historical transport-equation velocity.
 
@@ -189,12 +184,11 @@ def classical_diagnostics(field, grid: Grid1x1) -> ClassicalDiagnostics:
     dldx = np.full_like(lam, np.nan)
     dldt[1:-1] = (lam[2:] - lam[:-2]) / (2.0 * grid.dt)
     dldx[:, 1:-1] = (lam[:, 2:] - lam[:, :-2]) / (2.0 * grid.dx)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        finite = np.isfinite(dldt) & np.isfinite(dldx)
-        # degenerate denominator: the wavelength change across the stencil is
-        # negligible compared with the wavelength itself (0/0 for a uniform
-        # field; also swallows zero-crossing interpolation noise)
-        significant = np.abs(dldx) * (2.0 * grid.dx) > WAVELENGTH_GRAD_REL * np.abs(lam)
-        good = finite & significant
-        U = np.where(good, -dldt / np.where(good, dldx, 1.0), np.nan)
+    finite = np.isfinite(dldt) & np.isfinite(dldx)
+    # degenerate denominator: the wavelength change across the stencil is
+    # negligible compared with the wavelength itself (0/0 for a uniform
+    # field; also swallows zero-crossing interpolation noise)
+    significant = np.abs(dldx) * (2.0 * grid.dx) > WAVELENGTH_GRAD_REL * np.abs(lam)
+    good = finite & significant
+    U = np.where(good, -dldt / np.where(good, dldx, 1.0), np.nan)
     return ClassicalDiagnostics(grid, lam, U, field.omega_over_k)

@@ -122,8 +122,9 @@ def add_vI_freewave(frame: BoostFrame, vI, sign_convention="as_printed"):
     return -out if sign_convention == "as_printed" else out
 
 
-def boost_vI_general(frame: BoostFrame, jet):
-    """First-order PV in the boosted frame from second derivatives in the lab.
+def boost_vI_general(frame: BoostFrame, field, x, t):
+    """First-order PV in the boosted frame from the second derivatives of a lab field
+    at the float point (x, t).
 
     v'_I = -[(1+V^2/c^2) psi_xt - V (psi_tt/c^2 + psi_xx)]
            / [(V^2/c^4) psi_tt + psi_xx - (2V/c^2) psi_xt]
@@ -132,9 +133,7 @@ def boost_vI_general(frame: BoostFrame, jet):
     in the addition rules. V^2/c^4 is (V/c)^2 / c^2, which raises for no ``BoostFrame``.
     """
     V, c = frame.V, frame.c
-    ptt = jet.deriv(2, 0)
-    pxx = jet.deriv(0, 2)
-    pxt = jet.deriv(1, 1)
+    ptt, pxx, pxt = field.derivs(x, t, [(2, 0), (0, 2), (1, 1)])
     num = (1.0 + (V / c) ** 2) * pxt - V * (ptt / c ** 2 + pxx)
     den = ((V / c) ** 2 / c ** 2) * ptt + pxx - (2.0 * V / c ** 2) * pxt
     return None if pv_ratio(num / frame.speed_unit, den) is None else -num / den

@@ -151,13 +151,9 @@ class Taylor2:
             table[p, q] = v
         return table
 
-    def deriv_table(self):
-        """Array D with D[p, q] = d^{p+q} f / dt^p dx^q (0 outside the set)."""
-        scaled = [v * f for v, f in zip(self.flat, _factorials(self.order, self.tdeg))]
-        return Taylor2._of(scaled, self.order, self.tdeg, self.shape).coef
-
     def deriv(self, p, q, out=None):
-        """D[p, q] of ``deriv_table``, bit for bit, into ``out`` if given."""
+        """d^{p+q} f / dt^p dx^q, the coefficient of dt^p dx^q times p! q!, into ``out``
+        if given."""
         k = _indices(self.order, self.tdeg).index((p, q))
         return np.multiply(self.flat[k], _factorials(self.order, self.tdeg)[k], out=out)
 
@@ -466,7 +462,7 @@ def straight_line(expr, order, tdeg):
     only constants, so f agrees bit for bit with expr on ``Taylor2.variables``."""
     tape = _Tape()
     jet = expr(*Taylor2.variables(_Var(tape, "x"), _Var(tape, "t"), order, tdeg))
-    # deriv_table's scaling; a product with 1.0 changes no bit
+    # deriv's scaling; a product with 1.0 changes no bit
     out = [tape.ref(v if f == 1.0 else v * f) for v, f in zip(jet.flat, _factorials(order, tdeg))]
     body = "".join(f"        {line}\n" for line in tape.lines)
     source = (f"def make({', '.join(tape.names.values())}):\n    def jet(x, t):\n"

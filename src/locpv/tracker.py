@@ -122,8 +122,11 @@ def find_seed(field, order, target, near):
     Searches for a sign change around near[0] (expanding geometrically up to
     the half-width of ``field.seed_scan``: 8, or a sampled field's grid width),
     then refines it by bisection to that scan's tolerance.  Each scan width is
-    one ``jet_batch`` call; its nan entries (outside the domain) never bracket.
-    If no scan value is finite, the field's error at the first scan point is raised.
+    one ``derivs`` call of the three partials ``_probe`` reads; its nan entries
+    (outside the domain) never bracket.  Where the probe fails (a sampled grid
+    too short for a stencil it stacks), find_seed raises its error: at the seed,
+    or before NoBracket at the first scan point in the domain, or at the first
+    scan point if no scan value is finite.
     """
     x_near, t0 = near
     if not np.isfinite([target, x_near, t0]).all():
@@ -132,12 +135,10 @@ def find_seed(field, order, target, near):
 
     # expanding scan for a sign change; nan (outside) pairs never qualify
     lo = hi = None
-    finite = False
     w = bracket / 64.0
     while w <= bracket + 1e-300:
         xs = np.linspace(x_near - w, x_near + w, 65)
-        vals = field.jet_batch(xs, t0, order + 1)[0, order] - target
-        finite = finite or bool(np.isfinite(vals).any())
+        vals = field.derivs(xs, t0, [(0, order), (0, order + 1), (1, order)])[0] - target
         sign_flip = np.nonzero(vals[:-1] * vals[1:] <= 0)[0]
         hit = [k for k in sign_flip if vals[k] != 0 or vals[k + 1] != 0]
         if hit:
@@ -146,15 +147,16 @@ def find_seed(field, order, target, near):
             break
         w *= 2.0
     if lo is None:
-        if not finite:
-            _probe(field, x_near - bracket / 64.0, t0, order)  # the field's error
+        # the field's error, if its probe has one, at a point of the domain or the first
+        ok = np.flatnonzero(np.isfinite(vals))
+        _probe(field, xs[ok[0]] if ok.size else x_near - bracket / 64.0, t0, order)
         raise NoBracket(
             f"no sign change of order-{order} derivative minus {target} near x={x_near}"
         )
-    if flo == 0.0:
-        return lo, t0
-    if fhi == 0.0:
-        return hi, t0
+    if flo == 0.0 or fhi == 0.0:
+        x0 = lo if flo == 0.0 else hi
+        _probe(field, x0, t0, order)  # a seed the tracker cannot probe is none
+        return x0, t0
     while hi - lo > xtol:
         mid = 0.5 * (lo + hi)
         fm = _probe(field, mid, t0, order)[0] - target

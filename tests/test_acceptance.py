@@ -203,12 +203,12 @@ def test_criterion_7_dynamic_separation():
 def test_criterion_8_numerical_hygiene():
     # (a) FD derivative convergence order >= 2 over three grid levels
     fld = Translational(1.0)
-    exact = fld.jet(0.3, -0.2, 2).deriv(1, 1)
+    exact = fld.derivs(0.3, -0.2, [(1, 1)])[0]
     errs = []
     for h in (0.04, 0.02, 0.01):
         n = int(round(2.0 / h)) + 1
         g = Grid1x1(-1.0, h, n, -1.0, h, n)
-        errs.append(abs(sample(fld, g).jet(0.3, -0.2, 2).deriv(1, 1) - exact))
+        errs.append(abs(sample(fld, g).derivs(0.3, -0.2, [(1, 1)])[0] - exact))
     fd_order = min(np.log2(errs[0] / errs[1]), np.log2(errs[1] / errs[2]))
 
     # (b) RK4 step-halving >= 8x on rigid translation (or at the FP floor:

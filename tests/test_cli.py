@@ -287,18 +287,31 @@ class TestExitCodes:
               "--out", "OUT"], 1, "error: DegenerateDenominator"),
             (["medium", "--n", "linear:1,0.1", "--c", "1", "--dx=1e308", "--xi", "1",
               "--out", "OUT"], 1, "error: DegenerateDenominator"),
+            # width ** k overflows a float power; a ramp this wide is flat to double
+            # precision, so the run writes the constant medium's table
+            (["medium", "--n", "tanh:1,0.5,0,1e308", "--c", "1", "--dx", "2", "--xi", "1",
+              "--out", "OUT"], 0, None),
+            # samples near the largest double overflow in the FD sums and between
+            # zero crossings: inf or nan cells, no warning
+            (["pv", "--in", "IN", "--order", "0", "--out", "OUT"], 0, None),
+            (["wavelength", "--in", "IN", "--out", "OUT"], 0, None),
         ],
         ids=["subnormal-ramp-width", "audit-infinite-light-speed", "subnormal-track-step",
              "audit-subnormal-light-speed", "add-huge-light-speed", "subnormal-initial-width",
              "far-initial-center", "infinite-initial-amplitude", "huge-gamma",
              "subnormal-grid-steps", "subnormal-medium-dx", "tiny-medium-dx",
-             "subnormal-light-speed", "huge-medium-dx"],
+             "subnormal-light-speed", "huge-medium-dx", "huge-ramp-width", "huge-samples-pv",
+             "huge-samples-wavelength"],
     )
     def test_edge_values_print_one_error_line(self, argv, code, line, tmp_path):
         # in a child, so that numpy warnings would reach its stderr; a None
-        # line means exit 0 with an empty stderr and the output written
-        out = tmp_path / "o.csv"
-        proc = run_child([str(out) if a == "OUT" else a for a in argv])
+        # line means exit 0 with an empty stderr and the output written. IN is
+        # a 20x20 grid of samples uniform in +-1.7e308
+        out, src = tmp_path / "o.csv", tmp_path / "f.csv"
+        rng = np.random.default_rng(0)
+        save_grid_csv(src, Grid1x1(0.0, 0.1, 20, 0.0, 0.1, 20),
+                      1.7e308 * rng.uniform(-1.0, 1.0, (20, 20)))
+        proc = run_child([{"OUT": str(out), "IN": str(src)}.get(a, a) for a in argv])
         assert (proc.returncode, proc.stderr.decode()) == (code, line + "\n" if line else "")
         assert out.exists() == (line is None)
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import locpv.field
+from conftest import engine_table
 from locpv.errors import OutOfDomain, StencilClipped
 from locpv.field import (
     CustomField,
@@ -76,23 +77,20 @@ class TestAnalyticEval:
         assert KinkDamped(1.0, 0.3).eval(0.0, 0.0) == pytest.approx(0.0)
 
     def test_translational_derivative_ratio(self):
-        fld = Translational(2.0)
-        jet = fld.jet(0.7, 0.3, 1)
-        assert -jet.deriv(1, 0) / jet.deriv(0, 1) == pytest.approx(2.0)
+        dt, dx = Translational(2.0).derivs(0.7, 0.3, [(1, 0), (0, 1)])
+        assert -dt / dx == pytest.approx(2.0)
 
     def test_harmonic_first_derivatives(self):
-        jet = Harmonic(3.0, 1.5).jet(0.0, 0.0, 1)
-        assert jet.deriv(1, 0) == pytest.approx(3.0)
-        assert jet.deriv(0, 1) == pytest.approx(-1.5)
+        dt, dx = Harmonic(3.0, 1.5).derivs(0.0, 0.0, [(1, 0), (0, 1)])
+        assert dt == pytest.approx(3.0)
+        assert dx == pytest.approx(-1.5)
 
     def test_custom_call_on_a_constant(self):
         fld = CustomField("exp(1)*sin(t-x)")
         assert fld.eval(0.3, 1.0) == pytest.approx(np.e * np.sin(0.7), rel=1e-15)
 
     def test_custom_power_of_constants(self):
-        jet = CustomField("2**3*x").jet(0.5, 0.0, 1)
-        assert jet.value == 4.0
-        assert jet.deriv(0, 1) == 8.0
+        assert CustomField("2**3*x").derivs(0.5, 0.0, [(0, 0), (0, 1)]) == [4.0, 8.0]
 
     @pytest.mark.parametrize("expression", ["1/0*x", "x/0", "sin(t)/(1-1)", "x/sin(0)"])
     def test_custom_division_by_a_constant_zero(self, expression):
@@ -103,18 +101,20 @@ class TestAnalyticEval:
     def test_a_field_pickles_after_its_jets(self):
         # the recorded code stays behind; the copy records its own
         fld = DampedTranslational(1.2, 0.1, "arctan")
-        jet = fld.jet(0.3, 0.4, 2)
+        pairs = [(p, q) for p in range(3) for q in range(3 - p)]
+        got = fld.derivs(0.3, 0.4, pairs)
         copy = pickle.loads(pickle.dumps(fld))
-        assert copy == fld and copy.jet(0.3, 0.4, 2) == jet
+        assert copy == fld and copy.derivs(0.3, 0.4, pairs) == got
 
 
     def test_a_custom_field_pickles_by_its_expression(self):
         fld = CustomField("sin(x)*t + sqrt(x*x + 1)")
-        jet = fld.jet(0.3, 0.4, 3)
+        pairs = [(p, q) for p in range(4) for q in range(4 - p)]
+        got = fld.derivs(0.3, 0.4, pairs)
         copy = pickle.loads(pickle.dumps(fld))
         assert repr(copy) == repr(fld)
-        assert np.array_equal(np.array(copy.jet(0.3, 0.4, 3).flat).view(np.uint64),
-                              np.array(jet.flat).view(np.uint64))
+        assert np.array_equal(np.array(copy.derivs(0.3, 0.4, pairs)).view(np.uint64),
+                              np.array(got).view(np.uint64))
 
 class TestSampling:
     def test_sample_matches_direct_eval(self):
@@ -167,21 +167,21 @@ class TestFiniteDifferences:
         g = Grid1x1(-2.0, 0.01, 401, -1.0, 0.01, 201)
         fld = Translational(1.0)
         s = sample(fld, g)
-        jf = s.jet(0.25, 0.1, 1)
-        ja = fld.jet(0.25, 0.1, 1)
-        assert abs(jf.deriv(1, 0) - ja.deriv(1, 0)) < 1e-4
-        assert abs(jf.deriv(0, 1) - ja.deriv(0, 1)) < 1e-4
+        jf = s.derivs(0.25, 0.1, [(1, 0), (0, 1)])
+        ja = fld.derivs(0.25, 0.1, [(1, 0), (0, 1)])
+        assert abs(jf[0] - ja[0]) < 1e-4
+        assert abs(jf[1] - ja[1]) < 1e-4
 
     @pytest.mark.parametrize("p,q", [(1, 0), (0, 1), (1, 1), (0, 2), (2, 0), (0, 3)])
     def test_richardson_convergence_order(self, p, q):
         fld = Translational(1.0)
-        exact = fld.jet(0.15, 0.05, 3).deriv(p, q)
+        exact = fld.derivs(0.15, 0.05, [(p, q)])[0]
         errs = []
         for h in (0.04, 0.02, 0.01):
             n = int(round(2.0 / h)) + 1
             g = Grid1x1(-1.0, h, n, -1.0, h, n)
             s = sample(fld, g)
-            errs.append(abs(s.jet(0.15, 0.05, 3).deriv(p, q) - exact))
+            errs.append(abs(s.derivs(0.15, 0.05, [(p, q)])[0] - exact))
         order1 = np.log2(errs[0] / errs[1])
         order2 = np.log2(errs[1] / errs[2])
         assert min(order1, order2) >= 1.8
@@ -257,30 +257,39 @@ class TestFiniteDifferences:
         s = sample(Translational(1.0), g)
         with pytest.raises(OutOfDomain):
             s.eval(5.0, 0.5)
+        order1 = [(0, 0), (0, 1), (1, 0)]
         with pytest.raises(OutOfDomain):
-            s.jet(-0.5, 0.5, 1)
+            s.derivs(-0.5, 0.5, order1)
         # the whole grid, edges included, is the domain of every derivative
-        s.jet(0.0, 2.0, 3)
-        s.jet(2.0, 0.0, 3)
+        order3 = [(p, q) for p in range(4) for q in range(4 - p)]
+        assert np.isfinite(s.derivs(0.0, 2.0, order3)).all()
+        assert np.isfinite(s.derivs(2.0, 0.0, order3)).all()
         # a 2-row grid is too short for any t-stencil
         two_rows = sample(Translational(1.0), Grid1x1(0.0, 0.1, 21, 0.0, 0.1, 2))
         with pytest.raises(StencilClipped):
-            two_rows.jet(1.0, 0.05, 1)
+            two_rows.derivs(1.0, 0.05, order1)
         with pytest.raises(OutOfDomain) as info:
-            two_rows.jet(1.0, 0.5, 1)
+            two_rows.derivs(1.0, 0.5, order1)
         assert type(info.value) is OutOfDomain
-        # a batch raises StencilClipped only if a point is inside, as jet does
+        # arrays raise StencilClipped only if a point is inside, as floats do
         with pytest.raises(StencilClipped):
-            two_rows.jet_batch([5.0, 1.0], 0.05, 1)
-        assert np.isnan(two_rows.jet_batch([5.0, -1.0], 0.05, 1)).all()
+            two_rows.derivs(np.array([5.0, 1.0]), 0.05, order1)
+        assert np.isnan(two_rows.derivs(np.array([5.0, -1.0]), 0.05, order1)).all()
 
-    def test_jet_batch_broadcasts(self):
+    def test_derivs_is_the_outer_product(self):
         s = sample(Translational(1.0), Grid1x1(0.0, 0.1, 21, 0.0, 0.1, 21))
-        table = s.jet_batch(np.array([0.5, 3.0]), np.array([[0.2], [0.4], [0.6]]), 2)
-        assert table.shape == (3, 3, 3, 2)
-        np.testing.assert_array_equal(table[..., 1, 0], s.jet(0.5, 0.4, 2).table)
-        assert np.isnan(table[..., 1]).all()
-        np.testing.assert_array_equal(s.jet_batch(0.5, 0.4, 2), s.jet(0.5, 0.4, 2).table)
+        pairs = [(p, q) for p in range(3) for q in range(3 - p)]
+        got = np.array(s.derivs(np.array([0.5, 3.0]), np.array([0.2, 0.4, 0.6]), pairs))
+        assert got.shape == (6, 3, 2)
+        point = s.derivs(0.5, 0.4, pairs)
+        assert all(type(v) is float for v in point)
+        np.testing.assert_array_equal(got[:, 1, 0], point)
+        assert np.isnan(got[..., 1]).all()
+        # a float beside an array keeps the array's shape
+        np.testing.assert_array_equal(np.array(s.derivs(0.5, np.array([0.4]), pairs))[:, 0], point)
+        # a nan coordinate lies nowhere: nan, without a warning from its stencil
+        got = np.array(s.derivs(np.array([0.5, np.nan]), np.array([np.nan, 0.4]), pairs))
+        np.testing.assert_array_equal(np.isnan(got[0]), [[True, True], [False, True]])
 
     def test_stencil_clipped_is_out_of_domain(self):
         # a derivative whose stencil does not fit the grid has no domain at all
@@ -289,6 +298,9 @@ class TestFiniteDifferences:
         two_rows = sample(Translational(1.0), g)
         with pytest.raises(StencilClipped):
             two_rows.sweep(g, [(1, 0)])
+        # on a grid with no node inside as well: a sweep tells the field's error
+        with pytest.raises(StencilClipped):
+            two_rows.sweep(Grid1x1(5.0, 0.1, 4, 0.0, 0.1, 4), [(1, 0)])
         # order 0 needs no stencil: the whole grid is its domain
         assert two_rows.eval(0.0, 0.0) == pytest.approx(two_rows.values[0, 0], abs=1e-12)
         assert np.isfinite(two_rows.sweep(g, [(0, 1)])[0]).all()
@@ -314,16 +326,16 @@ class TestSweep:
         assert inside.any() and not inside.all()
         assert np.all(np.isfinite(d[inside]))
         assert np.all(np.isnan(d[~inside]))
-        exact = Translational(1.0).jet_batch(q.xs[None, 10:30], q.ts[:10, None], 2)[0, 2]
+        exact = Translational(1.0).derivs(q.xs[10:30], q.ts[:10], [(0, 2)])[0]
         np.testing.assert_allclose(d[:10, 10:30], exact, atol=0.05)
 
     @pytest.mark.parametrize("order", range(5))
     @pytest.mark.parametrize("fld", [DampedTranslational(1.0, 0.1),
                                      CustomField("log(x)*sin(3*t-2*x)")],
                              ids=["damped", "custom-nan-region"])
-    def test_analytic_sweep_is_the_jet_batch_entries_bit_for_bit(self, fld, order):
+    def test_analytic_sweep_is_the_engines_whole_jet_bit_for_bit(self, fld, order):
         q = Grid1x1(-1.0, 0.05, 41, -0.5, 0.1, 11)  # x <= 0 lies outside log(x)'s domain
-        table = fld.jet_batch(q.xs, q.ts[:, None], order)
+        table = engine_table(fld, q.xs, q.ts[:, None], order)
         pairs = [(p, k) for p in range(order + 1) for k in range(order + 1 - p)]
         for (p, k), got in zip(pairs, fld.sweep(q, pairs)):
             assert got.shape == (q.nt, q.nx)
@@ -357,9 +369,9 @@ class TestInterpolant:
         ts = [g.t0 + 0.4 * g.dt, 0.5 * (g.t0 + g.t_max), g.t_max - 0.4 * g.dt, g.t0]
         for x in xs:
             for t in ts:
-                value = s.jet(x, t, 0).value
+                value = s.eval(x, t)
                 assert value == pytest.approx(_poly(x, t, degree_t), abs=1e-13)
-                assert s.jet_batch(x, t, 0)[0, 0] == value
+                assert s.eval(np.array([x]), np.array([t]))[0, 0] == value
         q = Grid1x1(g.x0 + 0.05, 0.17, 12, g.t0 + 0.01, 0.7 * g.dt, nt)
         np.testing.assert_allclose(s.sweep(q, [(0, 0)])[0],
                                    _poly(q.xs, q.ts[:, None], degree_t), rtol=0, atol=1e-13)
@@ -372,17 +384,24 @@ class TestInterpolant:
         s = SampledField(g, np.repeat(g.ts[:, None] ** 3, 5, axis=1))
         assert s.eval(2.0, 0.5) == pytest.approx(expected, abs=1e-15)
 
-    def test_sweeps_on_another_grid_equal_point_jets_bit_for_bit(self):
+    def test_sweeps_on_another_grid_equal_point_queries_bit_for_bit(self):
         g = Grid1x1(-2.0, 0.05, 81, 0.0, 0.05, 41)
         s = sample(DampedTranslational(1.0, 0.1), g)
         q = Grid1x1(-2.6, 0.07, 75, -0.4, 0.06, 45)  # past every edge of g
-        # the (p, q) of an order-2 jet, in its flat order, in one sweep
-        sweeps = np.array(s.sweep(q, [(p, k) for p in range(3) for k in range(3 - p)]))
+        # the (p, q) of an order-2 jet in one sweep, and at each point the float
+        # query and the probe of its own 4x4 block, ``partials``
+        pairs = [(p, k) for p in range(3) for k in range(3 - p)]
+        sweeps = np.array(s.sweep(q, pairs))
         for j in range(0, q.nt, 3):
             for i in range(0, q.nx, 3):
                 if g.contains(q.xs[i], q.ts[j]):
-                    flat = np.array(s.jet(q.xs[i], q.ts[j], 2).flat)
-                    assert np.array_equal(sweeps[:, j, i].view(np.uint64), flat.view(np.uint64))
+                    got = sweeps[:, j, i]
+                    want = np.array(s.derivs(q.xs[i], q.ts[j], pairs))
+                    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+                    for n in (0, 1):
+                        rows = [pairs.index(pq) for pq in ((0, n), (0, n + 1), (1, n))]
+                        probe = np.array(s.partials(q.xs[i], q.ts[j], n))
+                        assert np.array_equal(got[rows].view(np.uint64), probe.view(np.uint64))
 
     def test_far_query_grids_are_nan_without_warnings(self):
         s = sample(Harmonic(3.0, 1.5), Grid1x1(0.0, 0.1, 21, 0.0, 0.1, 21))

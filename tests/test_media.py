@@ -53,6 +53,13 @@ class TestProfiles:
             fd = (medium.n(x + h) - medium.n(x - h)) / (2 * h)
             assert medium.n_prime(x) == pytest.approx(fd, rel=1e-8, abs=1e-8)
 
+    def test_a_ramp_wider_than_any_power_is_flat(self):
+        # width ** k overflows a Python float from k = 2: the k-th coefficient
+        # divides by inf, as numpy's power would give
+        series = TanhRampIndex(1.0, 0.5, 0.0, 1e308).series(2.0, 5)
+        assert series[0] == 1.25 and 0.0 < series[1] < 1e-300
+        assert all(c == 0.0 for c in series[2:])
+
     def test_invalid_profiles_rejected(self):
         with pytest.raises(ValueError):
             ConstantIndex(-1.0)

@@ -1,6 +1,7 @@
-"""``partials``: the three entries of a jet that a phase velocity reads, bit for
-bit those of the whole jet, with its errors, on every field kind; and tracked
-fields, whose point queries keep state, pickle and track alike."""
+"""``partials``: the three partials that a phase velocity reads, bit for bit
+those of a float ``derivs`` query of the whole jet, with its errors, on every
+field kind; and tracked fields, whose point queries keep state, pickle and
+track alike."""
 
 import pickle
 
@@ -52,8 +53,11 @@ def _outcome(fn, *args):
 
 
 def _from_jet(field, x, t, order):
-    jet = field.jet(x, t, order + 1)
-    return jet.deriv(0, order), jet.deriv(0, order + 1), jet.deriv(1, order)
+    """The three partials from a query of every (p, q) with p + q <= order + 1: on a
+    sampled field, every FD grid its probe stacks, and so its errors."""
+    pairs = [(p, q) for p in range(order + 2) for q in range(order + 2 - p)]
+    d = dict(zip(pairs, field.derivs(x, t, pairs)))
+    return d[0, order], d[0, order + 1], d[1, order]
 
 
 # a pole of each custom field, its neighbours and ordinary points

@@ -1,11 +1,13 @@
-"""Property tests: the sampled domain, the point-query domain, batched sampled
-jets, CSV round trips, seeds on their attribute, point poles in sweeps."""
+"""Property tests: the sampled domain, the point-query domain, derivative
+queries on arrays against those at floats, CSV round trips, seeds on their
+attribute, point poles in sweeps."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import assert_same_bits
 from locpv.errors import NoBracket, OutOfDomain
 from locpv.field import (
     CustomField,
@@ -93,26 +95,65 @@ def test_pv_point_out_of_domain_exactly_outside_the_grid(data):
                 assert type(exc.value) is OutOfDomain
 
 
-@given(st.data())
-def test_sampled_jet_batch_is_the_scalar_jet_inside_and_nan_outside(data):
-    s = data.draw(sampled_fields())
+# analytic fields with poles and branch cuts at x = 0 and x = t, whose
+# derivatives there are nan or inf
+_POLES = [CustomField("log(x)*sin(3*t-2*x)"), CustomField("sqrt(x - t) + 1/x")]
+
+
+@st.composite
+def derivative_queries(draw):
+    """A field of either kind, the axes of an outer product around a sampled grid
+    (its edges and their neighbours, +-0 and points outside) and the (p, q) of
+    one query, p + q up to the field's nmax + 1."""
+    s = draw(sampled_fields())
+    field = draw(st.sampled_from([s, *FIELDS, *_POLES]))
     g = s.grid
-    order = data.draw(st.integers(0, 3))
-    far = st.tuples(st.floats(g.x0 - 3 * g.dx, g.x_max + 3 * g.dx),
-                    st.floats(g.t0 - 3 * g.dt, g.t_max + 3 * g.dt))
-    points = [(x, t) for x in _edges(g.x0, g.x_max) for t in _edges(g.t0, g.t_max)]
-    points += data.draw(st.lists(far, min_size=1, max_size=20))
-    xs, ts = (np.array(v) for v in zip(*points))
-    table = s.jet_batch(xs, ts, order)
-    assert table.shape == (order + 1, order + 1, len(points))
-    for k, (x, t) in enumerate(points):
-        if g.contains(x, t):
-            expected = s.jet(x, t, order).table
-            assert np.array_equal(table[..., k].view(np.uint64), expected.view(np.uint64))
-        else:
-            assert np.isnan(table[..., k]).all()
+
+    def axis(lo, hi, h):
+        one = st.one_of(st.sampled_from(_edges(lo, hi) + [0.0, -0.0]),
+                        st.floats(lo - 3 * h, hi + 3 * h))
+        return np.array(draw(st.lists(one, min_size=1, max_size=6)))
+
+    order = draw(st.integers(0, field.nmax + 1))
+    pair = st.tuples(st.integers(0, order), st.integers(0, order)).filter(lambda pq: sum(pq) <= order)
+    pairs = draw(st.lists(pair, min_size=1, max_size=4))
+    return field, axis(g.x0, g.x_max, g.dx), axis(g.t0, g.t_max, g.dt), pairs
+
+
+@given(derivative_queries())
+def test_derivs_on_arrays_are_the_queries_at_floats(query):
+    # batch = point, nan compared as a class (its sign is not reproducible); a
+    # sampled field gives nan outside its grid on arrays and raises at floats
+    field, xs, ts, pairs = query
+    got = field.derivs(xs, ts, pairs)
+    assert all(a.shape == (ts.size, xs.size) for a in got)
+    sampled = isinstance(field, SampledField)
+    for j, t in enumerate(ts):
+        for i, x in enumerate(xs):
+            cell = [a[j, i] for a in got]
+            if sampled and not field.grid.contains(x, t):
+                assert np.isnan(cell).all()
+                with pytest.raises(OutOfDomain):
+                    field.derivs(x, t, pairs)
+                continue
+            point = field.derivs(x, t, pairs)
+            assert all(type(v) is float for v in point)
+            assert_same_bits(cell, point)
+
+
+@given(derivative_queries())
+def test_partials_are_derivs_at_a_one_point_array(query):
+    field, xs, ts, _ = query
+    for order in range(field.nmax + 1):
+        pairs = [(0, order), (0, order + 1), (1, order)]
+        got = [a[0, 0] for a in field.derivs(xs[:1], ts[:1], pairs)]
+        if isinstance(field, SampledField) and not field.grid.contains(xs[0], ts[0]):
+            assert np.isnan(got).all()
             with pytest.raises(OutOfDomain):
-                s.jet(x, t, order)
+                field.partials(xs[0], ts[0], order)
+            continue
+        with np.errstate(all="ignore"):  # partials leaves numpy's warnings to its caller
+            assert_same_bits(field.partials(xs[0], ts[0], order), got)
 
 
 @given(
@@ -139,18 +180,19 @@ def test_csv_save_load_save_is_byte_identical(tmp_path_factory, x0, dx, nx, t0, 
 
 def _assert_seed_on_attribute(field, order, target, near, xtol):
     """find_seed gives up with NoBracket or OutOfDomain, or returns a point
-    inside the domain of its jet that brackets the target within xtol."""
+    inside the domain of its derivatives that brackets the target within xtol."""
     try:
         x0, t0 = find_seed(field, order, target, near)
     except (NoBracket, OutOfDomain):
         return
     assert t0 == near[1]
-    field.jet(x0, t0, order + 1)
+    pairs = [(0, order), (0, order + 1), (1, order)]
+    field.derivs(x0, t0, pairs)
     probes = [x0 - xtol, x0 + xtol]
     if isinstance(field, SampledField):
         # a root within xtol of the grid's edge is bracketed from inside
         probes = np.clip(probes, field.grid.x0, field.grid.x_max)
-    lo, hi = (field.jet(x, t0, order + 1).deriv(0, order) - target for x in probes)
+    lo, hi = (field.derivs(x, t0, pairs)[0] - target for x in probes)
     assert lo * hi <= 0
 
 

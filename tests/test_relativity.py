@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import locpv.relativity
+from conftest import engine_table
 from locpv.errors import DegenerateDenominator
 from locpv.field import DampedTranslational, Harmonic, Translational
 from locpv.phasevel import pv_point, pv_ratio
@@ -121,8 +122,7 @@ class TestAddVIFreewave:
 class TestBoostVIGeneral:
     def test_zero_boost_reduces_to_first_order_pv(self):
         fld = DampedTranslational(1.0, 0.2)
-        jet = fld.jet(0.3, -0.2, 2)
-        got = boost_vI_general(BoostFrame(0.0), jet)
+        got = boost_vI_general(BoostFrame(0.0), fld, 0.3, -0.2)
         assert got == pytest.approx(pv_point(fld, 0.3, -0.2, 1), abs=1e-12)
 
     def test_free_wave_agrees_with_addition_rule(self):
@@ -136,8 +136,7 @@ class TestBoostVIGeneral:
             vI = pv_point(fld, x, t, 1)
             if vI is None:
                 continue
-            jet = fld.jet(x, t, 2)
-            general = boost_vI_general(BoostFrame(V), jet)
+            general = boost_vI_general(BoostFrame(V), fld, x, t)
             if general is None:
                 continue
             shortcut = add_vI_freewave(BoostFrame(V), vI, "continuous")
@@ -149,46 +148,47 @@ class TestBoostVIGeneral:
         # V^2/c^4 neither overflows nor underflows to a zero divisor. At V = 0 a
         # wave at 2c reads 2c; one at 2 is 2e100 c when c = 1e-100, a pole of v'/c
         # (|v'/c| > 1e12) as in the addition rules
-        fast = Harmonic(3.0 * c, 1.5).jet(0.1, 0.2, 2)
-        slow = Harmonic(3.0, 1.5).jet(0.1, 0.2, 2)
-        assert boost_vI_general(BoostFrame(0.0, c), fast) == pytest.approx(2.0 * c, rel=1e-12)
-        at_rest = boost_vI_general(BoostFrame(0.0, c), slow)
-        assert at_rest is None if c < 1 else at_rest == boost_vI_general(BoostFrame(0.0), slow)
+        fast, slow = Harmonic(3.0 * c, 1.5), Harmonic(3.0, 1.5)
+        got = boost_vI_general(BoostFrame(0.0, c), fast, 0.1, 0.2)
+        assert got == pytest.approx(2.0 * c, rel=1e-12)
+        at_rest = boost_vI_general(BoostFrame(0.0, c), slow, 0.1, 0.2)
+        assert at_rest is None if c < 1 else (
+            at_rest == boost_vI_general(BoostFrame(0.0), slow, 0.1, 0.2))
         for V in (0.5 * c, -0.9 * c):
-            for jet in (fast, slow):
-                got = boost_vI_general(BoostFrame(V, c), jet)
+            for fld in (fast, slow):
+                got = boost_vI_general(BoostFrame(V, c), fld, 0.1, 0.2)
                 assert got is None or isinstance(got, float)
 
     def test_a_pole_is_tested_in_units_of_c(self):
         # num = 4.89e99, den = -0.979: v' = 5e99 = 0.5c, far from a pole of v'/c
-        jet = Harmonic(3.0, 1.5).jet(0.1, 0.2, 2)
-        assert boost_vI_general(BoostFrame(5e99, 1e100), jet) == pytest.approx(5e99, rel=1e-12)
+        got = boost_vI_general(BoostFrame(5e99, 1e100), Harmonic(3.0, 1.5), 0.1, 0.2)
+        assert got == pytest.approx(5e99, rel=1e-12)
 
     def test_bits_at_unit_light_speed_are_the_unscaled_ratios(self):
-        # on the jets of this class's tests, and a 0/0 pole of sin(t - x) at t = x
+        # at the points of this class's tests, and a 0/0 pole of sin(t - x) at t = x;
+        # the second derivatives from the Taylor2 engine
         rng = np.random.default_rng(2)
-        jets = [DampedTranslational(1.0, 0.2).jet(0.3, -0.2, 2),
-                Harmonic(3.0, 1.5).jet(0.1, 0.2, 2),
-                DampedTranslational(1.0, 0.5).jet(0.4, 0.0, 2),
-                Translational(1.0, "sin").jet(0.3, 0.3, 2)]
-        jets += [Translational(1.0, "sin").jet(*rng.uniform(-1, 1, 2), 2) for _ in range(50)]
+        wave = Translational(1.0, "sin")
+        points = [(DampedTranslational(1.0, 0.2), 0.3, -0.2), (Harmonic(3.0, 1.5), 0.1, 0.2),
+                  (DampedTranslational(1.0, 0.5), 0.4, 0.0), (wave, 0.3, 0.3)]
+        points += [(wave, *rng.uniform(-1, 1, 2)) for _ in range(50)]
         for V in [0.0, 0.5, *np.linspace(-0.99, 0.99, 23)]:
             frame = BoostFrame(V)
-            for jet in jets:
-                ptt, pxx, pxt = jet.deriv(2, 0), jet.deriv(0, 2), jet.deriv(1, 1)
+            for fld, x, t in points:
+                table = engine_table(fld, x, t, 2)
+                ptt, pxx, pxt = table[2, 0], table[0, 2], table[1, 1]
                 num = (1.0 + V ** 2) * pxt - V * (ptt + pxx)  # the formula's bits at c = 1
                 den = V ** 2 * ptt + pxx - 2.0 * V * pxt
-                want, got = pv_ratio(num, den), boost_vI_general(frame, jet)
+                want, got = pv_ratio(num, den), boost_vI_general(frame, fld, x, t)
                 assert (got is None) == (want is None)
                 if want is not None:
                     assert np.float64(got).view(np.int64) == np.float64(want).view(np.int64)
 
     def test_non_free_wave_field_disagrees(self):
         fld = DampedTranslational(1.0, 0.5)
-        jet = fld.jet(0.4, 0.0, 2)
         V = 0.5
         vI = pv_point(fld, 0.4, 0.0, 1)
-        general = boost_vI_general(BoostFrame(V), jet)
+        general = boost_vI_general(BoostFrame(V), fld, 0.4, 0.0)
         shortcut = add_vI_freewave(BoostFrame(V), vI, "continuous")
         assert abs(general - shortcut) > 1e-6
 

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 import locpv.field
 import locpv.taylor
+from conftest import all_pairs, assert_same_bits, derivs_table, engine_table, jet_table
 from locpv.field import (
     CustomField,
     DampedTranslational,
@@ -79,14 +80,14 @@ def test_harmonic_jet_matches_closed_form():
     omega, k = 3.0, 1.5
     fld = Harmonic(omega, k)
     x, t = 0.4, 0.2
-    jet = fld.jet(x, t, 3)
+    table = derivs_table(fld, x, t, 3)
     phase = omega * t - k * x
     # d^{p+q} sin(phase) / dt^p dx^q = omega^p * (-k)^q * sin^{(p+q)}(phase)
     ders = [np.sin(phase), np.cos(phase), -np.sin(phase), -np.cos(phase)]
     for p in range(4):
         for q in range(4 - p):
             expected = omega ** p * (-k) ** q * ders[(p + q) % 4]
-            assert jet.deriv(p, q) == pytest.approx(expected, abs=1e-13)
+            assert table[p, q] == pytest.approx(expected, abs=1e-13)
 
 
 @pytest.mark.parametrize("a", [2.0, -0.7, 5.0])
@@ -96,20 +97,19 @@ def test_translational_identity(a, envelope):
     fld = Translational(a, envelope)
     x, t = 0.3, -0.1
     phi = t - x / a
-    jet = fld.jet(x, t, 4)
+    table = derivs_table(fld, x, t, 4)
     env = envelope_derivs(envelope, phi, 4)
     for p in range(5):
         for q in range(5 - p):
             expected = (-1.0 / a) ** q * env[p + q]
-            assert jet.deriv(p, q) == pytest.approx(expected, rel=1e-12, abs=1e-13)
+            assert table[p, q] == pytest.approx(expected, rel=1e-12, abs=1e-13)
 
 
 def test_custom_field_matches_builtin_harmonic():
     fld = CustomField("sin(3*t - 1.5*x)")
     ref = Harmonic(3.0, 1.5)
-    j1 = fld.jet(0.2, 0.5, 3)
-    j2 = ref.jet(0.2, 0.5, 3)
-    np.testing.assert_allclose(j1.table, j2.table, atol=1e-13)
+    np.testing.assert_allclose(derivs_table(fld, 0.2, 0.5, 3), derivs_table(ref, 0.2, 0.5, 3),
+                               atol=1e-13)
 
 
 def test_custom_field_grammar_rejections():
@@ -128,32 +128,21 @@ def test_taylor_division_and_pow():
     assert u.value == pytest.approx((1 + 0.5 * 0.25) / 1.5)
     v = (xs ** 3) * (xs ** -2)
     assert v.value == pytest.approx(0.5)
-    assert v.deriv_table()[0, 1] == pytest.approx(1.0, abs=1e-12)
+    assert v.deriv(0, 1) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_batch_matches_scalar():
     fld = Harmonic(2.0, 0.8)
     xv = np.array([0.0, 0.3, -1.2])
-    tv = np.array([0.5, 0.5, 0.5])
-    batch = fld.jet_batch(xv, tv, 2)
+    batch = derivs_table(fld, xv, 0.5, 2)
     for i in range(3):
-        single = fld.jet(xv[i], tv[i], 2)
+        single = derivs_table(fld, xv[i], 0.5, 2)
         for p in range(3):
             for q in range(3 - p):
-                assert batch[p, q, i] == pytest.approx(single.table[p, q], abs=1e-14)
+                assert batch[p, q, i] == pytest.approx(single[p, q], abs=1e-14)
 
 
 # -- the product and custom-expression engines ------------------------------
-
-
-def assert_same_bits(a, b):
-    """Equal bit for bit, except that any nan matches any nan: CPython and
-    numpy each pick the sign and payload of a nan sum in their own way."""
-    a, b = np.asarray(a, float), np.asarray(b, float)
-    assert a.shape == b.shape
-    nan = np.isnan(a)
-    np.testing.assert_array_equal(nan, np.isnan(b))
-    np.testing.assert_array_equal(a[~nan].view(np.uint64), b[~nan].view(np.uint64))
 
 
 def quadruple_loop_product(a, b):
@@ -223,8 +212,8 @@ def test_batched_structural_zeros_stay_floats(monkeypatch):
         return out
 
     monkeypatch.setattr(Taylor2, "__mul__", recording)
-    xs, ts = np.linspace(-2.0, 2.0, 40), np.linspace(0.0, 1.0, 20)[:, None]
-    Translational(1.3, "gauss").jet_batch(xs, ts, 5)
+    xs, ts = np.linspace(-2.0, 2.0, 40), np.linspace(0.0, 1.0, 20)
+    Translational(1.3, "gauss").derivs(xs, ts, [(0, 5), (5, 0)])
     (square,) = squares
     arrays = [k for k, v in enumerate(square.flat) if type(v) is np.ndarray]
     assert arrays == [0, 1, 6]  # (0, 0), (0, 1) and (1, 0)
@@ -285,23 +274,24 @@ def test_batched_jets_equal_scalar_jets_bitwise(fld, order, points):
     def jet(x, t):
         key = float(x).hex(), float(t).hex()  # -0.0 and 0.0 are distinct points
         if key not in scalar:
-            scalar[key] = fld.jet(x, t, order).table
+            scalar[key] = derivs_table(fld, x, t, order)
         return scalar[key]
 
-    table = fld.jet_batch(xs, ts, order)
-    assert table.shape == (w, w, n)
-    for k, (x, t) in enumerate(points):
-        assert_same_bits(table[..., k], jet(x, t))
-    # broadcast layouts: each coordinate keeps its own shape inside the jet
-    grid = fld.jet_batch(xs, ts[:, None], order)
+    # the outer product and its row and column: each coordinate keeps its own
+    # shape inside the jet
+    grid = derivs_table(fld, xs, ts, order)
     assert grid.shape == (w, w, n, n)
     for j, t in enumerate(ts):
         for k, x in enumerate(xs):
             assert_same_bits(grid[..., j, k], jet(x, t))
-    column = fld.jet_batch(xs[0], ts, order)
+    column = derivs_table(fld, xs[0], ts, order)
     assert column.shape == (w, w, n)
     for j, t in enumerate(ts):
         assert_same_bits(column[..., j], jet(xs[0], t))
+    row = derivs_table(fld, xs, ts[0], order)
+    assert row.shape == (w, w, n)
+    for k, x in enumerate(xs):
+        assert_same_bits(row[..., k], jet(x, ts[0]))
 
 
 def test_coordinate_jets_keep_their_own_shapes():
@@ -322,8 +312,8 @@ def test_unbatched_jets_keep_numpys_ieee_results(expression, x):
     with np.errstate(all="ignore"):
         assert fld.eval(x, 0.5) == np.inf
         for order in range(6):
-            table = fld.jet(x, 0.5, order).table
-            assert_same_bits(table, fld.jet_batch([x, 1.0], 0.5, order)[..., 0])
+            table = derivs_table(fld, x, 0.5, order)
+            assert_same_bits(table, derivs_table(fld, np.array([x, 1.0]), 0.5, order)[..., 0])
 
 
 @pytest.mark.parametrize("t", [0.0, -0.0, 0.3, -1.2])
@@ -331,11 +321,11 @@ def test_integer_power_is_finite_at_zero(t):
     # C(2, k) = 0 for k > 2: those terms are 0, not 0 * 0**(2 - k) = 0 * inf
     power, product = CustomField("t**2"), CustomField("t*t")
     for order in range(6):
-        table = power.jet(0.3, t, order).table
+        table = derivs_table(power, 0.3, t, order)
         assert np.isfinite(table).all()
-        assert_same_bits(table, product.jet(0.3, t, order).table)
-        assert_same_bits(power.jet_batch([0.3, 1.0], t, order),
-                         product.jet_batch([0.3, 1.0], t, order))
+        assert_same_bits(table, derivs_table(product, 0.3, t, order))
+        xs = np.array([0.3, 1.0])
+        assert_same_bits(derivs_table(power, xs, t, order), derivs_table(product, xs, t, order))
 
 
 def tree_walk(expression, xs, ts):
@@ -393,20 +383,15 @@ def test_compiled_custom_field_matches_the_tree_walk(expression):
     for order in range(6):
         for x, t in pts:
             ref = tree_walk(expression, *Taylor2.variables(x, t, order))
-            assert_same_bits(fld.jet(x, t, order).table, ref.deriv_table())
-        ref = tree_walk(expression, *Taylor2.variables(pts[:, 0], pts[:, 1], order))
-        assert_same_bits(fld.jet_batch(pts[:, 0], pts[:, 1], order), ref.deriv_table())
+            assert_same_bits(derivs_table(fld, x, t, order), jet_table(ref))
+        ref = tree_walk(expression, *Taylor2.variables(pts[:, 0], pts[:, 1, None], order))
+        assert_same_bits(derivs_table(fld, pts[:, 0], pts[:, 1], order), jet_table(ref))
 
 
 # -- recorded jets ------------------------------------------------------------
 
 _SPECIAL_COORDS = [0.0, -0.0, np.inf, -np.inf, np.nan]
 _FAMILY_IDS = [f"{i}-{type(fld).__name__}" for i, fld in enumerate(FAMILIES)]
-
-
-def engine_jet(fld, x, t, order):
-    """The jet table of a field from the engine itself, Taylor2 on floats."""
-    return fld.expr(*Taylor2.variables(x, t, order)).deriv_table()
 
 
 @pytest.mark.parametrize("fld", FAMILIES, ids=_FAMILY_IDS)
@@ -418,7 +403,7 @@ def test_recorded_jets_equal_the_engine_bitwise(fld, points):
     with np.errstate(all="ignore"):
         for order in range(6):
             for x, t in points:
-                assert_same_bits(fld.jet(x, t, order).table, engine_jet(fld, x, t, order))
+                assert_same_bits(derivs_table(fld, x, t, order), engine_table(fld, x, t, order))
 
 
 @pytest.mark.parametrize("fld", FAMILIES, ids=_FAMILY_IDS)
@@ -427,7 +412,7 @@ def test_recorded_jets_equal_the_engine_at_special_points(fld):
         for order in range(6):
             for x in _SPECIAL_COORDS + [0.7]:
                 for t in _SPECIAL_COORDS + [-0.4]:
-                    assert_same_bits(fld.jet(x, t, order).table, engine_jet(fld, x, t, order))
+                    assert_same_bits(derivs_table(fld, x, t, order), engine_table(fld, x, t, order))
 
 
 def test_a_fields_second_jet_of_an_order_records_nothing(monkeypatch):
@@ -436,18 +421,20 @@ def test_a_fields_second_jet_of_an_order_records_nothing(monkeypatch):
     monkeypatch.setattr(locpv.field, "straight_line", lambda expr, order, tdeg:
                         recorded.append((order, tdeg)) or record(expr, order, tdeg))
     monkeypatch.setattr(Taylor2, "__mul__", lambda a, b: products.append(1) or multiply(a, b))
-    first = fld.jet(0.3, -0.1, 2)
+    first = fld.derivs(0.3, -0.1, all_pairs(2))
     assert recorded == [(2, 2)] and products
     products.clear()
-    assert fld.jet(0.3, -0.1, 2) == first
-    fld.jet(-1.2, 0.4, 2)
+    assert fld.derivs(0.3, -0.1, all_pairs(2)) == first
+    fld.derivs(-1.2, 0.4, [(2, 0), (0, 1)])
     assert recorded == [(2, 2)] and products == []
-    fld.jet(0.3, -0.1, 3)
+    fld.derivs(0.3, -0.1, all_pairs(3))
     assert recorded == [(2, 2), (3, 3)]
-    # point partials read p <= 1 only: one recording of their own per order
+    # point partials read p <= 1 only: one recording of their own per order,
+    # which a float query of the same order and dt-degree shares
     fld.partials(0.3, -0.1, 1)
     products.clear()
     fld.partials(-1.2, 0.4, 1)
+    fld.derivs(-1.2, 0.4, [(0, 1), (0, 2), (1, 1)])
     assert recorded == [(2, 2), (3, 3), (2, 1)] and products == []
 
 
@@ -465,7 +452,7 @@ def test_recorded_code_holds_no_user_text(monkeypatch):
     with np.errstate(all="ignore"):
         for order in range(4):
             for x, t in [(0.3, -0.2), (0.0, 1.5)]:
-                assert_same_bits(fld.jet(x, t, order).table, engine_jet(fld, x, t, order))
+                assert_same_bits(derivs_table(fld, x, t, order), engine_table(fld, x, t, order))
     assert len(sources) == 4
     for source in sources:
         tokens = list(tokenize.generate_tokens(io.StringIO(source).readline))
@@ -477,7 +464,7 @@ def test_recorded_code_holds_no_user_text(monkeypatch):
 def test_straight_line_returns_the_scaled_flat_coefficients():
     fld = KinkDamped(1.3, 0.2)
     for order in range(6):
-        table = engine_jet(fld, 0.4, -0.3, order)
+        table = engine_table(fld, 0.4, -0.3, order)
         flat = straight_line(fld.expr, order, order)(0.4, -0.3)
         assert flat == [table[p, q] for p in range(order + 1) for q in range(order + 1 - p)]
         assert all(type(v) is float for v in flat)
@@ -564,7 +551,7 @@ def test_truncated_coordinate_jets_keep_the_full_jets_bits(m):
                 assert (truncated.order, truncated.tdeg) == (m, tdeg)
                 assert_same_coefficients(truncated, full)
                 kept = slice(0, tdeg + 1)
-                assert_same_bits(truncated.deriv_table()[kept], full.deriv_table()[kept])
+                assert_same_bits(jet_table(truncated)[kept], jet_table(full)[kept])
                 np.testing.assert_array_equal(truncated.coef[tdeg + 1 :], 0.0)
 
 
@@ -595,11 +582,10 @@ _PAIR = st.tuples(st.integers(0, 5), st.integers(0, 5)).filter(lambda pq: sum(pq
     st.sampled_from([-0.02, 0.0, 0.3]) | st.floats(-2.0, 2.0),
     st.integers(2, 7), st.integers(2, 5),
 )
-def test_a_sweep_is_the_jet_batchs_entries_bit_for_bit(fld, pairs, x0, t0, nx, nt):
+def test_a_sweep_is_the_engines_whole_jet_bit_for_bit(fld, pairs, x0, t0, nx, nt):
     grid = Grid1x1(x0, 0.01, nx, t0, 0.01, nt)
     swept = fld.sweep(grid, pairs)
-    with np.errstate(all="ignore"):
-        table = fld.jet_batch(grid.xs, grid.ts[:, None], max(p + q for p, q in pairs))
+    table = engine_table(fld, grid.xs, grid.ts[:, None], max(p + q for p, q in pairs))
     assert len(swept) == len(pairs)
     for (p, q), values in zip(pairs, swept):
         assert values.shape == (nt, nx) and values.dtype == float and values.flags.writeable

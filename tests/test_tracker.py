@@ -21,7 +21,7 @@ from locpv.field import (
     Translational,
     sample,
 )
-from locpv.phasevel import pv_from_jet, pv_point
+from locpv.phasevel import pv_point, pv_ratio
 from locpv.tracker import (
     Attribute,
     Termination,
@@ -60,7 +60,7 @@ class TestFindSeed:
         # starts (k = 20) or ends (k = 40) at the scan point on the target
         fld = Translational(1.0)
         xs = np.linspace(0.9 - 0.125, 0.9 + 0.125, 65)
-        target = fld.jet(xs[k], 0.0, 1).value
+        target = fld.eval(xs[k], 0.0)
         x0, t0 = find_seed(fld, 0, target, near=(0.9, 0.0))
         assert x0 == xs[k]
         traj = track(fld, Attribute(0, target, x0, t0), t_end=0.5, step=0.05)
@@ -78,10 +78,10 @@ class TestFindSeed:
 
     def test_stencil_clipped_stops_the_scan_at_once(self, monkeypatch):
         # no point of a 2-row grid has the t-stencil, so the first scan
-        # width's one batched jet tells
+        # width's one derivative query tells
         fld = sample(Translational(1.0), Grid1x1(-2.0, 0.02, 201, 0.0, 0.02, 2))
         calls = []
-        for name in ("jet", "jet_batch"):
+        for name in ("derivs", "partials"):
             method = getattr(SampledField, name)
 
             def counted(self, *args, name=name, method=method):
@@ -91,12 +91,24 @@ class TestFindSeed:
             monkeypatch.setattr(SampledField, name, counted)
         with pytest.raises(StencilClipped):
             find_seed(fld, 0, 0.5, near=(0.8, 0.0))
-        assert calls == ["jet_batch"]
+        assert calls == ["derivs"]
+
+
+    @pytest.mark.parametrize("nt, order, target", [(3, 1, 0.0), (3, 1, 50.0), (4, 2, 50.0)],
+                             ids=["exact-zero", "no-bracket", "no-bracket-o2"])
+    def test_a_grid_too_short_for_the_trackers_probe_gives_no_seed(self, nt, order, target):
+        # 3 rows carry the t-stencil of the scanned (1, N), not that of the (N + 1, 0)
+        # which the tracker's probe stacks; the order-1 scan lands on the peak x = 0,
+        # and 50 is no level of any derivative
+        fld = sample(Translational(1.0), Grid1x1(-2.0, 0.02, 201, 0.0, 0.02, nt))
+        assert np.isfinite(fld.derivs(0.0, 0.0, [(0, order), (0, order + 1), (1, order)])).all()
+        with pytest.raises(StencilClipped):
+            find_seed(fld, order, target, near=(0.0, 0.0))
 
 
 def _reference_find_seed(field, order, target, near):
-    """find_seed with a scan of scalar jets, one per point: a point whose jet
-    raises OutOfDomain is skipped, and if every one does, the first error is
+    """find_seed with a scan of float-point queries, one per point: a point whose
+    query raises OutOfDomain is skipped, and if every one does, the first error is
     raised."""
     x_near, t0 = near
     if isinstance(field, SampledField):
@@ -108,7 +120,7 @@ def _reference_find_seed(field, order, target, near):
 
     def f(x):
         try:
-            return field.jet(x, t0, order + 1).deriv(0, order) - target
+            return field.derivs(x, t0, [(0, order), (0, order + 1), (1, order)])[0] - target
         except StencilClipped:
             raise
         except OutOfDomain as exc:
@@ -181,7 +193,7 @@ _SEED_CASES = [
     # the last two scans overhang the grid edge x = 2 or start outside it
     for near in (-0.5, 1.9, 2.5)
 ] + [
-    (f"exact-zero.{k}", _TRANS_ZERO, 0, _TRANS_ZERO.jet(_SCAN[k], 0.0, 1).value, (0.9, 0.0))
+    (f"exact-zero.{k}", _TRANS_ZERO, 0, _TRANS_ZERO.eval(_SCAN[k], 0.0), (0.9, 0.0))
     for k in (20, 40)
 ] + [
     ("no-point-inside", sample(Translational(1.0), _PULSE_GRID), 0, 0.5, (9.0, 1.0)),
@@ -249,9 +261,7 @@ class TestTrack:
         fld = DampedTranslational(1.0, 0.1)
         x0, t0 = find_seed(fld, 0, 0.5, near=(-1.0, 0.0))
         traj = track(fld, Attribute(0, 0.5, x0, t0), t_end=2.0, step=0.01)
-        drift = [
-            abs(fld.jet(x, t, 0).deriv(0, 0) - 0.5) for t, x, _ in traj.samples
-        ]
+        drift = [abs(fld.eval(x, t) - 0.5) for t, x, _ in traj.samples]
         assert max(drift) <= 1e-6
 
     def test_v_local_matches_pv_point(self):
@@ -374,14 +384,16 @@ class TestCsv:
 
 
 def _reference_track(field, attr, t_end, step, project):
-    """The tracker written out plainly: RK4 with the velocity of a whole jet per
-    stage, then up to 3 Newton steps, each on a fresh jet, and the velocity at
-    the result; no ``partials`` call, so the reference does not share its path."""
+    """The tracker written out plainly: RK4 with the velocity of a fresh derivative
+    query per stage, then up to 3 Newton steps, each on a fresh query, and the
+    velocity at the result; no ``partials`` call, so the reference does not share
+    its path."""
     order, target = attr.order, attr.target
+    pairs = [(0, order), (0, order + 1), (1, order)]
 
     def pv(x, t):
-        with np.errstate(all="ignore"):
-            return pv_from_jet(field.jet(x, t, order + 1), order)
+        _, den, num = field.derivs(x, t, pairs)
+        return pv_ratio(num, den)
 
     x, t = attr.x0, attr.t0
     samples = [(t, x, pv(x, t))]
@@ -400,8 +412,7 @@ def _reference_track(field, attr, t_end, step, project):
         t_new = t + h
         try:
             for _ in range(3 if project else 0):
-                jet = field.jet(x_new, t_new, order + 1)
-                g, gp = jet.deriv(0, order), jet.deriv(0, order + 1)
+                g, gp, _ = field.derivs(x_new, t_new, pairs)
                 if abs(gp) < 1e-300:
                     return samples, Termination.SingularityHit
                 dx = (g - target) / gp
@@ -484,8 +495,8 @@ class TestJetBudget:
         assert steps <= len(calls) <= 1 + 5 * steps  # partials, not jets, are counted
 
 
-class TestJetDeriv:
+class TestDerivs:
     @pytest.mark.parametrize("p, q", [(0, -1), (-1, 1)])
     def test_negative_order_is_rejected(self, p, q):
         with pytest.raises(OrderTooHigh):
-            Translational(1.0).jet(0.3, 0.0, 1).deriv(p, q)
+            Translational(1.0).derivs(0.3, 0.0, [(p, q)])
