@@ -516,8 +516,7 @@ class SampledField:
         self.grid = grid
         self.values = values
         self._deriv_grids = {}
-        self._stack = ()
-        self._block = None, None  # the last 4x4 block a point query read: key, floats
+        self._block = None, None  # the last 4x4 blocks a point query read: key, floats
 
     # -- derivative grids ----------------------------------------------------
 
@@ -532,28 +531,18 @@ class SampledField:
             self._deriv_grids[key] = _diff_axis(g, self.grid.dx, q, 1)
         return self._deriv_grids[key]
 
-    def _stacked(self, order):
-        """The FD grids of an order's K entries of _PAIRS as one array (K, nt, nx), each
-        axis padded to 4 nodes by its last; one copy, of the highest order asked."""
-        k = (order + 1) * (order + 2) // 2
-        if len(self._stack) < k:
-            g, stack = self.grid, np.stack([self.derivative_grid(*pq) for pq in _PAIRS[:k]])
-            pad = [(0, 0), (0, max(0, 4 - g.nt)), (0, max(0, 4 - g.nx))]
-            self._stack = np.pad(stack, pad, mode="edge") if min(g.nt, g.nx) < 4 else stack
-        return self._stack[:k]
-
     def derivs(self, x, t, pairs):
         """As ``AnalyticField.derivs``, from the ``derivative_grid`` of each (p, q) through
         the Lagrange cubic, along t and then along x: nan at the points outside the grid
         (no extrapolation), where a float point raises OutOfDomain, and StencilClipped
         only if a point is inside."""
         _extent(pairs, self.nmax)
+        if np.ndim(x) == np.ndim(t) == 0:  # a copy of pairs: the caller may change its own
+            return self._point(float(x), float(t), tuple(map(tuple, pairs)))
         g, shape = self.grid, np.shape(t) + np.shape(x)
         xs, ts = np.atleast_1d(np.asarray(x, float)), np.atleast_1d(np.asarray(t, float))
         inside = g.contains(xs, ts[:, None])
         if not inside.any():
-            if not shape:
-                raise OutOfDomain(f"point ({x}, {t}) outside the sampling grid")
             return [np.full(shape, np.nan) for _ in pairs]
         # the stencils of the nearest nodes inside, nan ones too (fmax drops a nan)
         jt, wt = _stencil(np.fmin(np.fmax(ts, g.t0), g.t_max), g.t0, g.dt, g.nt)
@@ -566,7 +555,7 @@ class SampledField:
             rows = _wsum([d[np.minimum(jt + k, g.nt - 1)] for k in range(4)], wt)
             v = _wsum([rows[:, np.minimum(ix - lo + k, hi - lo - 1)] for k in range(4)], wx)
             v[~inside] = np.nan
-            out.append(v.reshape(shape) if shape else float(v[0, 0]))
+            out.append(v.reshape(shape))
         return out
 
     def sweep(self, grid: Grid1x1, pairs):
@@ -591,38 +580,44 @@ class SampledField:
     def default_step(self, span):
         return min(self.grid.dt, span / 1000.0)
 
-    def _point(self, x, t, order, rows):
-        """The given rows of ``_stacked(order)`` at the float point (x, t): ``derivs``'s
-        sums in their order, on the Python floats of one 4x4 block, the last one kept."""
+    def _point(self, x, t, pairs):
+        """``derivs`` of a tuple of pairs at the float point (x, t): its sums in their
+        order, on the Python floats of one 4x4 block of each pair's ``derivative_grid``,
+        an axis of fewer nodes padded by its last; the last blocks kept."""
         g = self.grid
         if not g.contains(x, t):
             raise OutOfDomain(f"point ({x}, {t}) outside the sampling grid")
         j0, (wt0, wt1, wt2, wt3) = _stencil(t, g.t0, g.dt, g.nt)
         i0, (wx0, wx1, wx2, wx3) = _stencil(x, g.x0, g.dx, g.nx)
-        key, block = self._block
-        if key != (order, j0, i0):  # consecutive probes mostly read the same block
-            block = self._stacked(order)[:, j0 : j0 + 4, i0 : i0 + 4].tolist()
-            self._block = (order, j0, i0), block
+        key, blocks = self._block
+        if key != (pairs, j0, i0):  # consecutive probes mostly read the same blocks
+            blocks = [self.derivative_grid(p, q)[j0 : j0 + 4, i0 : i0 + 4].tolist()
+                      for p, q in pairs]
+            if g.nt < 4 or g.nx < 4:
+                blocks = [[r + r[-1:] * (4 - len(r)) for r in b + b[-1:] * (4 - len(b))]
+                          for b in blocks]
+            self._block = (pairs, j0, i0), blocks
         return [(a0 * wt0 + a1 * wt1 + a2 * wt2 + a3 * wt3) * wx0
                 + (b0 * wt0 + b1 * wt1 + b2 * wt2 + b3 * wt3) * wx1
                 + (c0 * wt0 + c1 * wt1 + c2 * wt2 + c3 * wt3) * wx2
                 + (d0 * wt0 + d1 * wt1 + d2 * wt2 + d3 * wt3) * wx3
                 for (a0, b0, c0, d0), (a1, b1, c1, d1), (a2, b2, c2, d2), (a3, b3, c3, d3)
-                in map(block.__getitem__, rows)]
+                in blocks]
 
     def partials(self, x, t, order):
-        """As ``AnalyticField.partials``, from the whole stack of order + 1, so that a
-        stencil longer than an axis raises StencilClipped for every order it reaches."""
+        """As ``AnalyticField.partials``, from the FD grids of its three pairs, so that a
+        grid tracks at every order whose three stencils fit its axes."""
         if not 0 <= order <= self.nmax:
             raise OrderTooHigh(f"sampled fields support phase velocity orders 0..{self.nmax}")
-        return tuple(self._point(float(x), float(t), order + 1, _PARTIAL_ROWS[order]))
+        return tuple(self._point(float(x), float(t), _PARTIAL_PAIRS[order]))
+
+    def __getstate__(self):
+        # the FD grids and the last blocks are caches: a copy builds its own
+        return {**self.__dict__, "_deriv_grids": {}, "_block": (None, None)}
 
 
-# the (p, q) of the stack by ascending p + q; _PARTIAL_ROWS[n]: where those of
-# ``partials`` sit, (0, n), (0, n+1) and (1, n)
-_PAIRS = [(p, d - p) for d in range(SAMPLED_NMAX + 2) for p in range(d + 1)]
-_PARTIAL_ROWS = [[_PAIRS.index(pq) for pq in ((0, n), (0, n + 1), (1, n))]
-                 for n in range(SAMPLED_NMAX + 1)]
+# the (p, q) that ``partials`` reads at each order N: (0, N), (0, N+1) and (1, N)
+_PARTIAL_PAIRS = tuple(((0, n), (0, n + 1), (1, n)) for n in range(SAMPLED_NMAX + 1))
 
 
 def _stencil(c, c0, h, n):

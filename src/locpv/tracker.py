@@ -123,10 +123,9 @@ def find_seed(field, order, target, near):
     the half-width of ``field.seed_scan``: 8, or a sampled field's grid width),
     then refines it by bisection to that scan's tolerance.  Each scan width is
     one ``derivs`` call of the three partials ``_probe`` reads; its nan entries
-    (outside the domain) never bracket.  Where the probe fails (a sampled grid
-    too short for a stencil it stacks), find_seed raises its error: at the seed,
-    or before NoBracket at the first scan point in the domain, or at the first
-    scan point if no scan value is finite.
+    (outside the domain) never bracket, and its errors (a sampled grid too short
+    for a stencil) are find_seed's.  If no scan value is finite, find_seed raises
+    the probe's error at the first scan point, if it has one, before NoBracket.
     """
     x_near, t0 = near
     if not np.isfinite([target, x_near, t0]).all():
@@ -147,16 +146,13 @@ def find_seed(field, order, target, near):
             break
         w *= 2.0
     if lo is None:
-        # the field's error, if its probe has one, at a point of the domain or the first
-        ok = np.flatnonzero(np.isfinite(vals))
-        _probe(field, xs[ok[0]] if ok.size else x_near - bracket / 64.0, t0, order)
+        if not np.isfinite(vals).any():  # the field's error at the first point, if any
+            _probe(field, x_near - bracket / 64.0, t0, order)
         raise NoBracket(
             f"no sign change of order-{order} derivative minus {target} near x={x_near}"
         )
     if flo == 0.0 or fhi == 0.0:
-        x0 = lo if flo == 0.0 else hi
-        _probe(field, x0, t0, order)  # a seed the tracker cannot probe is none
-        return x0, t0
+        return (lo if flo == 0.0 else hi), t0
     while hi - lo > xtol:
         mid = 0.5 * (lo + hi)
         fm = _probe(field, mid, t0, order)[0] - target

@@ -463,6 +463,18 @@ class TestCommands:
         gv = float(lines[-1].split("=")[1])
         assert gv == pytest.approx(1.0, abs=5e-2)
 
+    def test_track_on_a_three_row_csv_field(self, tmp_path):
+        # 3 rows carry the t-stencil of the three partials an order-1 probe reads
+        sim_out, traj_out = tmp_path / "short.csv", tmp_path / "traj.csv"
+        assert run_cli(["simulate", "--grid=-5,0.025,400x0,0.02,3",
+                        "--initial", "gauss:-2.5,0.7", "--out", str(sim_out)]) == 0
+        code = run_cli(["track", "--in", str(sim_out), "--order", "1", "--level", "0",
+                        "--seed-near=-2.5,0", "--t-end", "0.04", "--out", str(traj_out)])
+        assert code == 0
+        lines = traj_out.read_text().splitlines()
+        assert lines[-2] == "# terminated_by=TimeLimit"
+        assert float(lines[-1].split("=")[1]) == pytest.approx(1.0, abs=5e-2)
+
     def test_wavelength_command(self, tmp_path, capsys):
         out = tmp_path / "lam.csv"
         code = run_cli(

@@ -105,7 +105,7 @@ def test_no_module_reads_another_modules_private_names(module):
         ("import locpv.field as f\nf._diff_axis", "field._diff_axis"),
         ("import locpv.field\nlocpv.field._diff_axis", "field._diff_axis"),
         # a private method of SampledField
-        ("def f(field):\n    return field._stacked(1)", "<object>._stacked"),
+        ("def f(field):\n    return field._point(1.0, 0.0, ((0, 0),))", "<object>._point"),
         ("def f(s):\n    return s.values, s._deriv_grids", "<object>._deriv_grids"),
     ],
     ids=["from-relative", "from-absolute", "module-alias", "package", "import-as",
@@ -122,9 +122,9 @@ def test_checker_finds_private_reaches(source, reach):
         "from .field import __all__",
         "from numpy import _globals",
         "import numpy as np\nnp._NoValue",
-        "self._stacked(0)",
+        "self._point(1.0, 0.0, ((0, 0),))",
         "from .phasevel import _zero_crossings",  # the module's own name
-        "def _stacked(): pass\nobj._stacked",  # a name the module defines itself
+        "def _point(): pass\nobj._point",  # a name the module defines itself
     ],
     ids=["public", "dunder", "other-package", "other-package-attribute", "self",
          "own-import", "own-name"],

@@ -1,6 +1,6 @@
 """``partials``: the three partials that a phase velocity reads, bit for bit
-those of a float ``derivs`` query of the whole jet, with its errors, on every
-field kind; and tracked fields, whose point queries keep state, pickle and
+those of a one-point array ``derivs`` query of their pairs, with its errors, on
+every field kind; and tracked fields, whose point queries keep state, pickle and
 track alike."""
 
 import pickle
@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from locpv.errors import OrderTooHigh
+from locpv.errors import OrderTooHigh, OutOfDomain
 from locpv.field import (
     CustomField,
     DampedTranslational,
@@ -44,20 +44,24 @@ ANALYTIC = [
 
 
 def _outcome(fn, *args):
-    """A call's result as the bits of its floats, or its error's class."""
+    """A call's result as the bits of its floats, every nan as one (CPython and numpy
+    each pick the sign and payload of a nan sum in their own way), or its error's class."""
     try:
         with np.errstate(all="ignore"):
-            return np.array(fn(*args), float).view(np.uint64).tolist()
+            got = np.array(fn(*args), float)
+            return np.where(np.isnan(got), np.nan, got).view(np.uint64).tolist()
     except Exception as exc:  # the error class is the outcome compared
         return type(exc)
 
 
 def _from_jet(field, x, t, order):
-    """The three partials from a query of every (p, q) with p + q <= order + 1: on a
-    sampled field, every FD grid its probe stacks, and so its errors."""
-    pairs = [(p, q) for p in range(order + 2) for q in range(order + 2 - p)]
-    d = dict(zip(pairs, field.derivs(x, t, pairs)))
-    return d[0, order], d[0, order + 1], d[1, order]
+    """The three partials from a one-point array ``derivs`` of their pairs, which is
+    nan outside a sampled grid, where a float point raises OutOfDomain."""
+    pairs = [(0, order), (0, order + 1), (1, order)]
+    got = field.derivs(np.array([x]), np.array([t]), pairs)
+    if isinstance(field, SampledField) and not field.grid.contains(x, t):
+        raise OutOfDomain(f"point ({x}, {t}) outside the sampling grid")
+    return [a[0, 0] for a in got]
 
 
 # a pole of each custom field, its neighbours and ordinary points
@@ -105,13 +109,28 @@ def sampled_queries(draw):
 def test_sampled_partials_are_the_jets_entries(case):
     # one field answers every query, in the drawn order, so that a block kept
     # from an earlier query at another point or order would show; each
-    # reference is a jet of a fresh copy, which has kept nothing
+    # reference is an array query of a fresh copy, which has kept nothing
     g, values, queries = case
     field = SampledField(g, values)
     for x, t, order in queries:
         want = _outcome(_from_jet, SampledField(g, values), x, t, order)
         assert _outcome(field.partials, x, t, order) == want
         assert _outcome(_from_jet, field, x, t, order) == want
+
+
+@pytest.mark.parametrize("pairs", [[(0, 0), (0, 1)], [[0, 0], [0, 1]]], ids=["tuples", "lists"])
+def test_a_float_query_reads_the_pairs_asked_even_if_the_caller_changed_them(pairs):
+    # the blocks a point query keeps are keyed on a copy of its pairs: a list that
+    # the caller changes between two queries at one point reads its new pairs
+    s = sample(DampedTranslational(1.0, 0.1), Grid1x1(-1.0, 0.1, 21, 0.0, 0.1, 21))
+    first = s.derivs(0.33, 0.44, pairs)
+    if isinstance(pairs[1], list):
+        pairs[1][0], pairs[1][1] = 1, 0
+    else:
+        pairs[1] = (1, 0)
+    second = s.derivs(0.33, 0.44, pairs)
+    fresh = SampledField(s.grid, s.values).derivs(0.33, 0.44, [(0, 0), (1, 0)])
+    assert second == fresh and second[0] == first[0] and second[1] != first[1]
 
 
 @pytest.mark.parametrize("field", [
@@ -145,8 +164,11 @@ _GRID = Grid1x1(-3.0, 0.02, 301, 0.0, 0.02, 101)
     (sample(DampedTranslational(1.0, 0.1), _GRID), 0, 0.4, (-0.5, 0.2)),
 ], ids=["analytic", "custom", "sampled"])
 def test_a_tracked_field_pickles_and_its_copy_tracks_alike(field, order, target, near):
+    fresh = pickle.dumps(field)
     attr = Attribute(order, target, *find_seed(field, order, target, near))
     first = track(field, attr, 1.2, step=0.01)
+    # its caches, recorded jets or FD grids and blocks, do not pickle
+    assert pickle.dumps(field) == fresh
     copy = pickle.loads(pickle.dumps(field))
     again = track(copy, attr, 1.2, step=0.01)
     assert again.terminated_by is first.terminated_by

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import assert_same_bits
-from locpv.errors import NoBracket, OutOfDomain
+from locpv.errors import NoBracket, OutOfDomain, StencilClipped
 from locpv.field import (
     CustomField,
     DampedTranslational,
@@ -28,14 +28,14 @@ FIELDS = [Harmonic(3.0, 1.5), DampedTranslational(1.0, 0.2), DampedTranslational
 
 
 @st.composite
-def sampled_fields(draw):
+def sampled_fields(draw, sizes=st.integers(8, 24)):
     grid = Grid1x1(
         draw(st.floats(-2.0, 0.0)),
         draw(st.floats(0.05, 0.3)),
-        draw(st.integers(8, 24)),
+        draw(sizes),
         draw(st.floats(-1.0, 1.0)),
         draw(st.floats(0.05, 0.3)),
-        draw(st.integers(8, 24)),
+        draw(sizes),
     )
     return sample(draw(st.sampled_from(FIELDS)), grid)
 
@@ -101,12 +101,12 @@ _POLES = [CustomField("log(x)*sin(3*t-2*x)"), CustomField("sqrt(x - t) + 1/x")]
 
 
 @st.composite
-def derivative_queries(draw):
-    """A field of either kind, the axes of an outer product around a sampled grid
-    (its edges and their neighbours, +-0 and points outside) and the (p, q) of
-    one query, p + q up to the field's nmax + 1."""
-    s = draw(sampled_fields())
-    field = draw(st.sampled_from([s, *FIELDS, *_POLES]))
+def derivative_queries(draw, sizes=st.integers(8, 24), kinds=(*FIELDS, *_POLES)):
+    """A field of either kind (a sampled field or one of kinds), the axes of an
+    outer product around a sampled grid (its edges and their neighbours, +-0 and
+    points outside) and the (p, q) of one query, p + q up to the field's nmax + 1."""
+    s = draw(sampled_fields(sizes))
+    field = draw(st.sampled_from([s, *kinds]))
     g = s.grid
 
     def axis(lo, hi, h):
@@ -122,12 +122,30 @@ def derivative_queries(draw):
 
 @given(derivative_queries())
 def test_derivs_on_arrays_are_the_queries_at_floats(query):
-    # batch = point, nan compared as a class (its sign is not reproducible); a
-    # sampled field gives nan outside its grid on arrays and raises at floats
-    field, xs, ts, pairs = query
-    got = field.derivs(xs, ts, pairs)
-    assert all(a.shape == (ts.size, xs.size) for a in got)
+    _assert_arrays_are_floats(*query)
+
+
+@given(derivative_queries(st.integers(2, 4), kinds=()))
+def test_derivs_on_axes_of_2_to_4_nodes_are_the_queries_at_floats(query):
+    # blocks padded by their last node, and stencils longer than an axis
+    _assert_arrays_are_floats(*query)
+
+
+def _assert_arrays_are_floats(field, xs, ts, pairs):
+    """Batch = point, nan compared as a class (its sign is not reproducible); a
+    sampled field gives nan outside its grid on arrays and raises at floats, and
+    a stencil longer than an axis raises StencilClipped on both if a point is inside."""
     sampled = isinstance(field, SampledField)
+    try:
+        got = field.derivs(xs, ts, pairs)
+    except StencilClipped:
+        inside = [(x, t) for t in ts for x in xs if field.grid.contains(x, t)]
+        assert sampled and inside
+        for x, t in inside:
+            with pytest.raises(StencilClipped):
+                field.derivs(x, t, pairs)
+        return
+    assert all(a.shape == (ts.size, xs.size) for a in got)
     for j, t in enumerate(ts):
         for i, x in enumerate(xs):
             cell = [a[j, i] for a in got]

@@ -94,16 +94,25 @@ class TestFindSeed:
         assert calls == ["derivs"]
 
 
-    @pytest.mark.parametrize("nt, order, target", [(3, 1, 0.0), (3, 1, 50.0), (4, 2, 50.0)],
-                             ids=["exact-zero", "no-bracket", "no-bracket-o2"])
-    def test_a_grid_too_short_for_the_trackers_probe_gives_no_seed(self, nt, order, target):
-        # 3 rows carry the t-stencil of the scanned (1, N), not that of the (N + 1, 0)
-        # which the tracker's probe stacks; the order-1 scan lands on the peak x = 0,
-        # and 50 is no level of any derivative
-        fld = sample(Translational(1.0), Grid1x1(-2.0, 0.02, 201, 0.0, 0.02, nt))
-        assert np.isfinite(fld.derivs(0.0, 0.0, [(0, order), (0, order + 1), (1, order)])).all()
+    @pytest.mark.parametrize("nt, order, near", [(3, 1, 0.0), (3, 2, 0.7), (4, 2, 0.7)],
+                             ids=["3-rows-o1", "3-rows-o2", "4-rows-o2"])
+    def test_a_grid_of_few_rows_tracks_where_its_three_stencils_fit(self, nt, order, near):
+        # the probe reads (0, N), (0, N + 1) and (1, N), and 3 rows carry the t-stencil
+        # of (1, N); the order-1 scan lands on the peak x = 0, the order-2 one on the
+        # inflection point x = 1/sqrt(2)
+        g = Grid1x1(-2.0, 0.02, 201, 0.0, 0.02, nt)
+        fld = sample(Translational(1.0), g)
+        x0, t0 = find_seed(fld, order, 0.0, near=(near, 0.0))
+        traj = track(fld, Attribute(order, 0.0, x0, t0), t_end=g.t_max)
+        assert traj.terminated_by is Termination.TimeLimit
+        assert traj.global_velocity == pytest.approx(1.0, abs=1e-3)
+        # 50 is no level of any derivative
+        with pytest.raises(NoBracket):
+            find_seed(fld, order, 50.0, near=(0.0, 0.0))
+        # 2 rows carry no t-stencil
+        two_rows = sample(Translational(1.0), Grid1x1(-2.0, 0.02, 201, 0.0, 0.02, 2))
         with pytest.raises(StencilClipped):
-            find_seed(fld, order, target, near=(0.0, 0.0))
+            find_seed(two_rows, order, 0.0, near=(near, 0.0))
 
 
 def _reference_find_seed(field, order, target, near):
