@@ -58,114 +58,102 @@ def parse_grid(text) -> Grid1x1:
         raise UsageError(f"bad grid spec {text!r}: {exc}") from exc
 
 
-_FAMILY_KEYS = {
-    "trans": {"a"},
-    "damped": {"a", "lambda"},
-    "kink": {"a", "lambda"},
-    "harmonic": {"omega", "k"},
+# option -> family -> (fewest numbers, most numbers, keys, whether it takes an envelope);
+# a tanh ramp's numbers are its value, step, center and width
+SPECS = {
+    "--analytic": {
+        "trans": (0, 0, ("a",), True),
+        "translational": (0, 0, ("a",), True),
+        "damped": (0, 0, ("a", "lambda"), True),
+        "kink": (0, 0, ("a", "lambda"), False),
+        "harmonic": (0, 0, ("omega", "k"), False),
+    },
+    "--n": {"const": (1, 1, (), False), "linear": (2, 2, (), False), "tanh": (2, 4, (), False)},
+    "--speed": {"const": (1, 1, (), False), "tanh": (2, 4, (), False)},
+    "--initial": {"gauss": (1, 3, (), False)},
 }
+
+
+def parse_spec(option, text):
+    """Split the inline spec ``family:tok,tok,...`` of an option by its families.
+
+    A token is a number, ``key=number`` or a bare envelope word; empty tokens are
+    skipped.  Returns the family, its numbers in order, its keys' numbers and its
+    envelope (None if not given).
+    """
+    families = SPECS[option]
+    family, colon, rest = text.partition(":")
+    if not colon or family not in families:
+        raise UsageError(f"{option} spec must be family:values with a family in "
+                         f"{', '.join(families)}, got {text!r}")
+    lo, hi, keys, takes_envelope = families[family]
+    takes = (f"{family} takes {lo}..{hi} numbers, keys {list(keys)} and "
+             f"{'at most one' if takes_envelope else 'no'} envelope")
+    nums, params, envelope = [], {}, None
+    for tok in filter(None, (t.strip() for t in rest.split(","))):
+        key, eq, value = (s.strip() for s in tok.partition("="))
+        try:
+            num = float(value if eq else tok)
+        except ValueError:
+            num = None
+        if num is not None and not eq:
+            nums.append(num)
+        elif num is not None and key in keys and key not in params:
+            params[key] = num
+        elif not eq and takes_envelope and envelope is None:
+            envelope = tok
+        else:
+            raise UsageError(f"bad token {tok!r} in {text!r}: {takes}")
+    if not lo <= len(nums) <= hi:
+        raise UsageError(f"{takes}, got {text!r}")
+    return family, nums, params, envelope
 
 
 def parse_analytic(text):
-    if ":" not in text:
-        raise UsageError("analytic spec must be family:envelope,key=value,...")
-    family, rest = text.split(":", 1)
-    family = {"translational": "trans"}.get(family, family)
-    if family == "custom":
+    if text.startswith("custom:"):
         try:
-            return CustomField(rest)
+            return CustomField(text[len("custom:"):])
         except (ValueError, SyntaxError) as exc:
             raise UsageError(f"bad custom expression: {exc}") from exc
-    envelope = None
-    params = {}
-    for tok in rest.split(","):
-        tok = tok.strip()
-        if not tok:
-            continue
-        if "=" in tok:
-            k, v = tok.split("=", 1)
-            try:
-                params[k.strip()] = float(v)
-            except ValueError as exc:
-                raise UsageError(f"bad parameter {tok!r}") from exc
-        else:
-            envelope = tok
-    if family not in _FAMILY_KEYS:
-        raise UsageError(f"unknown analytic family {family!r}")
-    unknown = set(params) - _FAMILY_KEYS[family]
-    if unknown:
-        raise UsageError(f"unknown keys for {family}: {sorted(unknown)}")
-    if envelope is not None and family not in ("trans", "damped"):
-        raise UsageError(f"{family} takes no envelope, got {envelope!r}")
+    family, _, params, envelope = parse_spec("--analytic", text)
+    a, lam = params.get("a", 1.0), params.get("lambda", 0.0)
     envelope = envelope or "gauss"
-    try:
-        if family == "trans":
-            return Translational(a=params.get("a", 1.0), envelope=envelope)
-        if family == "damped":
-            return DampedTranslational(
-                a=params.get("a", 1.0), lam=params.get("lambda", 0.0), envelope=envelope
-            )
-        if family == "kink":
-            return KinkDamped(a=params.get("a", 1.0), lam=params.get("lambda", 0.0))
+    if family == "damped":
+        return DampedTranslational(a=a, lam=lam, envelope=envelope)
+    if family == "kink":
+        return KinkDamped(a=a, lam=lam)
+    if family == "harmonic":
         return Harmonic(omega=params.get("omega", 1.0), k=params.get("k", 1.0))
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
-
-
-_MEDIA_FAMILIES = {
-    "const": (media_mod.ConstantIndex, 1),
-    "linear": (media_mod.LinearIndex, 2),
-    "tanh": (media_mod.TanhRampIndex, 4),
-}
+    return Translational(a=a, envelope=envelope)
 
 
 def parse_medium(text, c):
-    if ":" not in text:
-        raise UsageError("medium spec must be family:params, e.g. linear:1,0.1")
-    family, rest = text.split(":", 1)
-    if family not in _MEDIA_FAMILIES:
-        raise UsageError(f"unknown medium family {family!r}")
-    cls, nargs = _MEDIA_FAMILIES[family]
-    try:
-        vals = [float(v) for v in rest.split(",") if v.strip()]
-    except ValueError as exc:
-        raise UsageError(f"bad medium parameters {rest!r}") from exc
-    if len(vals) > nargs or not vals:
-        raise UsageError(f"{family} medium takes 1..{nargs} parameters")
-    try:
-        return cls(*vals, c=c)
-    except (ValueError, TypeError) as exc:
-        raise UsageError(str(exc)) from exc
+    family, nums, _, _ = parse_spec("--n", text)
+    cls = {"const": media_mod.ConstantIndex, "linear": media_mod.LinearIndex,
+           "tanh": media_mod.TanhRampIndex}[family]
+    return cls(*nums, c=c)
 
 
 def parse_speed(text):
-    if ":" not in text:
-        try:
-            return float(text)
-        except ValueError as exc:
-            raise UsageError(f"bad speed spec {text!r}") from exc
-    family, rest = text.split(":", 1)
-    vals = [float(v) for v in rest.split(",") if v.strip()]
-    if family == "const" and len(vals) == 1:
+    # a bare number is a constant speed
+    family, vals, _, _ = parse_spec("--speed", text if ":" in text else "const:" + text)
+    if family == "const":
         return vals[0]
-    if family == "tanh" and 2 <= len(vals) <= 4:
-        a0, da = vals[0], vals[1]
-        center = vals[2] if len(vals) > 2 else 0.0
-        width = vals[3] if len(vals) > 3 else 1.0
-        return lambda x: a0 + 0.5 * da * (1.0 + np.tanh((x - center) / width))
-    raise UsageError(f"bad speed spec {text!r}")
+    a0, da, center, width = vals + [0.0, 1.0][len(vals) - 2:]
+    if width == 0 or not np.isfinite(vals).all():
+        raise UsageError(f"speed ramp width must be nonzero and values finite in {text!r}")
+
+    def speed(x):
+        # a0 + ... may overflow to inf, which SimSpec rejects
+        with np.errstate(over="ignore"):
+            return a0 + 0.5 * da * (1.0 + np.tanh((x - center) / width))
+
+    return speed
 
 
 def parse_initial(text):
-    if ":" not in text:
-        raise UsageError("initial spec must be gauss:center,width[,amp]")
-    family, rest = text.split(":", 1)
-    vals = [float(v) for v in rest.split(",") if v.strip()]
-    if family != "gauss" or not 1 <= len(vals) <= 3:
-        raise UsageError(f"bad initial spec {text!r}")
-    center = vals[0]
-    width = vals[1] if len(vals) > 1 else 1.0
-    amp = vals[2] if len(vals) > 2 else 1.0
+    _, vals, _, _ = parse_spec("--initial", text)
+    center, width, amp = vals + [1.0, 1.0][len(vals) - 1:]
     if width == 0 or not np.isfinite(vals).all():
         raise UsageError(f"initial width must be nonzero and values finite in {text!r}")
 
@@ -186,6 +174,17 @@ def _add_source(p):
     grp = p.add_mutually_exclusive_group(required=True)
     grp.add_argument("--analytic", help="inline analytic family spec")
     grp.add_argument("--in", dest="infile", help="grid CSV input path")
+
+
+def _add_simulate_flags(p, out_required):
+    """The simulate flags, which --config lines set as well."""
+    p.add_argument("--grid")
+    p.add_argument("--speed", default="const:1")
+    p.add_argument("--gamma", type=float, default=0.0)
+    p.add_argument("--initial", default="gauss:0,1")
+    p.add_argument("--moving", choices=["right", "left", "standing"], default="right")
+    p.add_argument("--boundary", choices=["Periodic", "Reflecting"], default="Periodic")
+    p.add_argument("--out", required=out_required)
 
 
 def build_parser():
@@ -227,13 +226,7 @@ def build_parser():
 
     p = sub.add_parser("simulate", help="leapfrog wave-equation run")
     p.add_argument("--config", help="flat key=value file overriding flags")
-    p.add_argument("--grid")
-    p.add_argument("--speed", default="const:1")
-    p.add_argument("--gamma", type=float, default=0.0)
-    p.add_argument("--initial", default="gauss:0,1")
-    p.add_argument("--moving", choices=["right", "left", "standing"], default="right")
-    p.add_argument("--boundary", choices=["Periodic", "Reflecting"], default="Periodic")
-    p.add_argument("--out", required=True)
+    _add_simulate_flags(p, out_required=True)
 
     p = sub.add_parser("wavelength", help="local-wavelength diagnostics")
     _add_source(p)
@@ -259,7 +252,15 @@ def parse_args(argv) -> argparse.Namespace:
     return args
 
 
+class _ConfigParser(argparse.ArgumentParser):
+    """Reads --config lines as simulate flags; a bad line is a usage error."""
+
+    def error(self, message):
+        raise UsageError(f"bad config: {message}")
+
+
 def _apply_config(args):
+    flags = []
     with open(args.config) as fh:
         for line in fh:
             line = line.strip()
@@ -268,12 +269,10 @@ def _apply_config(args):
             if "=" not in line:
                 raise UsageError(f"bad config line {line!r}")
             k, v = (s.strip() for s in line.split("=", 1))
-            if k == "gamma":
-                args.gamma = float(v)
-            elif k in ("grid", "speed", "initial", "moving", "boundary", "out"):
-                setattr(args, k, v)
-            else:
-                raise UsageError(f"unknown config key {k!r}")
+            flags.append(f"--{k}={v}")
+    parser = _ConfigParser(add_help=False, allow_abbrev=False)
+    _add_simulate_flags(parser, out_required=False)
+    parser.parse_args(flags, namespace=args)  # only the flags given override
 
 
 # ---------------------------------------------------------------------------
@@ -357,19 +356,14 @@ def _cmd_simulate(args):
     profile = parse_initial(args.initial)
 
     h = 1e-6 * grid.dx
+    sgn = -1.0 if args.moving == "right" else 1.0
 
-    def d_profile(x):  # h may underflow to 0: run() then reports non-finite data
+    def rate(x):  # h may underflow to 0, or a * dpsi/dx overflow: run() reports it
+        if args.moving == "standing":
+            return np.zeros_like(np.asarray(x, float))
+        a = speed(x) if callable(speed) else speed
         with np.errstate(all="ignore"):
-            return (profile(x + h) - profile(x - h)) / (2.0 * h)
-
-    if args.moving == "standing":
-        rate = lambda x: np.zeros_like(np.asarray(x, float))
-    else:
-        sgn = -1.0 if args.moving == "right" else 1.0
-
-        def rate(x, _sgn=sgn):
-            a = speed(x) if callable(speed) else speed
-            return _sgn * a * d_profile(x)
+            return sgn * a * ((profile(x + h) - profile(x - h)) / (2.0 * h))
 
     spec = SimSpec(grid, speed, args.gamma, profile, rate, args.boundary)
     fld = sim_run(spec)

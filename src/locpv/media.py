@@ -98,7 +98,8 @@ class LinearIndex(MediumProfile):
 
     def series(self, x, m):
         shape = np.shape(x)
-        out = [self.n0 + self.slope * np.asarray(x, float), np.full(shape, self.slope)[()]]
+        with np.errstate(over="ignore"):  # n overflows to inf; the velocities reject it
+            out = [self.n0 + self.slope * np.asarray(x, float), np.full(shape, self.slope)[()]]
         return out[: m + 1] + [np.zeros(shape)[()]] * max(0, m - 1)
 
 
@@ -250,11 +251,11 @@ def vI_global(mode: ModeSpec, dx):
     if dx == 0:
         raise DegenerateInterval("dx must be nonzero")
     m = mode.medium
-    arg = m.n_prime(dx) * dx + m.n(dx)
+    with np.errstate(all="ignore"):  # arg or c/(xi*dx) may overflow: the checks below report it
+        arg = m.n_prime(dx) * dx + m.n(dx)
+        rhs = m.n(dx) - (m.c / (mode.xi * dx)) * np.log(arg)
     if arg <= 0:
         raise NonpositiveLogArgument("log argument n'(dx)*dx + n(dx) not positive")
-    with np.errstate(all="ignore"):  # c/(xi*dx) may overflow: the check below reports it
-        rhs = m.n(dx) - (m.c / (mode.xi * dx)) * np.log(arg)
     if not math.isfinite(rhs) or is_pole(m.c, rhs):
         raise DegenerateDenominator("printed global relation right side vanished or not finite")
     return m.c / rhs

@@ -35,6 +35,8 @@ class SimSpec:
     def __post_init__(self):
         if self.boundary not in _BOUNDARIES:
             raise ValueError(f"boundary must be one of {list(_BOUNDARIES)}")
+        if not np.isfinite(self.gamma):
+            raise ValueError(f"gamma must be finite, got {self.gamma!r}")
 
     def speed_array(self):
         xs = self.domain.xs
@@ -43,6 +45,8 @@ class SimSpec:
 
     def check_cfl(self):
         a = self.speed_array()
+        if not np.isfinite(a).all():
+            raise ValueError("wave speed must be finite at every grid node")
         ratio = np.max(np.abs(a)) * self.domain.dt / self.domain.dx
         if ratio > 1.0 + 1e-12:
             raise CFLViolation(f"max(a)*dt/dx = {ratio:.6g} exceeds 1")

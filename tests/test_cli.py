@@ -19,6 +19,7 @@ from locpv.field import (
     sample,
     save_grid_csv,
 )
+from locpv.simulate import SimSpec, run as simulate_run
 
 
 def run_cli(argv):
@@ -178,6 +179,20 @@ class TestExitCodes:
              "--grid=nan,0.1,10x0,0.1,10", "--out", "OUT"],
             ["pv", "--analytic", "trans:gauss,a=1", "--order", "1",
              "--grid=0,0.1,10x-inf,0.1,10", "--out", "OUT"],
+            # a non-finite damping or wave speed, from a flag or a config line
+            ["simulate", "--grid=-5,0.025,400x0,0.02,400", "--gamma=nan", "--out", "OUT"],
+            ["simulate", "--grid=-5,0.025,400x0,0.02,400", "--gamma=inf", "--out", "OUT"],
+            ["simulate", "--grid=-5,0.025,400x0,0.02,400", "--config", "CFG", "--out", "OUT"],
+            ["simulate", "--grid=-5,0.025,400x0,0.02,400", "--speed=inf", "--out", "OUT"],
+            ["simulate", "--grid=-5,0.025,400x0,0.02,400", "--speed=tanh:1,inf", "--out", "OUT"],
+            ["simulate", "--grid=-5,0.025,400x0,0.02,400", "--speed=nan", "--out", "OUT"],
+            ["simulate", "--grid=-5,0.025,400x0,0.02,400", "--speed=tanh:1,0.5,0,0",
+             "--out", "OUT"],
+            # at most one envelope, and each key once
+            ["pv", "--analytic", "trans:gauss,exp", "--order", "0",
+             "--grid", "0,0.1,10x0,0.1,10", "--out", "OUT"],
+            ["pv", "--analytic", "trans:a=1,a=2", "--order", "0",
+             "--grid", "0,0.1,10x0,0.1,10", "--out", "OUT"],
         ],
         ids=["t-end", "step", "frame-speed", "light-speed", "resolution", "initial",
              "zero-division", "envelope", "damped-envelope", "harmonic-envelope",
@@ -186,10 +201,14 @@ class TestExitCodes:
              "nan-a", "nan-omega", "inf-k", "inf-lambda", "nan-kink-lambda",
              "nan-medium-index", "inf-ramp-width", "inf-constant-index", "inf-light-speed",
              "nan-level", "nan-seed-x", "inf-seed-t", "inf-grid-dx", "nan-grid-x0",
-             "inf-grid-t0"],
+             "inf-grid-t0", "nan-gamma", "inf-gamma", "nan-gamma-config", "inf-wave-speed",
+             "inf-ramp-step", "nan-wave-speed", "zero-ramp-width", "two-envelopes",
+             "repeated-key"],
     )
     def test_invalid_value_is_usage_error(self, argv, tmp_path, capsys):
-        argv = [str(tmp_path / "o.csv") if a == "OUT" else a for a in argv]
+        (tmp_path / "c.cfg").write_text("gamma=nan\n")
+        paths = {"OUT": str(tmp_path / "o.csv"), "CFG": str(tmp_path / "c.cfg")}
+        argv = [paths.get(a, a) for a in argv]
         assert run_cli(argv) == 2
         err = capsys.readouterr().err.splitlines()
         assert [line for line in err if line.startswith("error:")] == [err[-1]]
@@ -295,13 +314,27 @@ class TestExitCodes:
             # zero crossings: inf or nan cells, no warning
             (["pv", "--in", "IN", "--order", "0", "--out", "OUT"], 0, None),
             (["wavelength", "--in", "IN", "--out", "OUT"], 0, None),
+            # n0 + slope * dx overflows to inf, which no velocity has
+            (["medium", "--n=linear:1e308,1e308", "--c=1", "--dx=2", "--xi=1", "--out", "OUT"],
+             1, "error: DegenerateDenominator"),
+            # (x - center) / width overflows, where the ramp is flat
+            (["simulate", "--grid=-5,0.5,20x0,0.25,20", "--speed=tanh:1,0.5,0,1e-320",
+              "--out", "OUT"], 0, None),
+            # the speed, not the initial rate built from it, is the bad value
+            (["simulate", "--grid=-5,0.5,20x0,0.25,20", "--speed=nan", "--out", "OUT"],
+             2, "error: UsageError: wave speed must be finite at every grid node"),
+            # the profile's difference quotient overflows, and 0 * inf is nan
+            (["simulate", "--grid=-5,0.5,20x0,0.25,20", "--speed=0",
+              "--initial=gauss:1e-6,1e-6,1e308", "--out", "OUT"],
+             2, "error: UsageError: initial data must be finite"),
         ],
         ids=["subnormal-ramp-width", "audit-infinite-light-speed", "subnormal-track-step",
              "audit-subnormal-light-speed", "add-huge-light-speed", "subnormal-initial-width",
              "far-initial-center", "infinite-initial-amplitude", "huge-gamma",
              "subnormal-grid-steps", "subnormal-medium-dx", "tiny-medium-dx",
              "subnormal-light-speed", "huge-medium-dx", "huge-ramp-width", "huge-samples-pv",
-             "huge-samples-wavelength"],
+             "huge-samples-wavelength", "huge-linear-index", "subnormal-speed-ramp-width",
+             "nan-wave-speed", "huge-initial-slope"],
     )
     def test_edge_values_print_one_error_line(self, argv, code, line, tmp_path):
         # in a child, so that numpy warnings would reach its stderr; a None
@@ -428,6 +461,37 @@ class TestCommands:
         grid, vals, _ = load_grid_csv(out)
         assert (grid.nx, grid.nt) == (200, 100)
         assert np.all(vals[:, 0] == 0.0)  # reflecting ends pinned
+
+    @pytest.mark.parametrize("lines, code", [("moving=up\n", 2), ("gam=0.1\n", 2),
+                                             ("gamma=0.1\n", 0)],
+                             ids=["bad-choice", "unknown-key", "override"])
+    def test_config_lines_get_the_flags_checks_and_override_them(self, lines, code, tmp_path):
+        # the flags ask for an undamped run; a config line overrides its flag
+        cfg, out, ref = tmp_path / "run.cfg", tmp_path / "sim.csv", tmp_path / "ref.csv"
+        cfg.write_text(lines)
+        flags = ["simulate", "--grid=-5,0.05,200x0,0.04,100", "--initial", "gauss:-2.5,0.7"]
+        assert run_cli(flags + ["--gamma=0", "--config", str(cfg), "--out", str(out)]) == code
+        if code == 0:
+            assert run_cli(flags + ["--gamma=0.1", "--out", str(ref)]) == 0
+            assert out.read_bytes() == ref.read_bytes()
+
+    def test_simulate_speed_ramp_is_the_librarys_run(self, tmp_path):
+        out, ref = tmp_path / "sim.csv", tmp_path / "ref.csv"
+        grid = Grid1x1(-5.0, 0.05, 200, 0.0, 0.04, 100)
+        assert run_cli(["simulate", "--grid=-5,0.05,200x0,0.04,100", "--speed",
+                        "tanh:1,-0.2,0,1", "--initial", "gauss:-2.5,0.7", "--moving", "standing",
+                        "--out", str(out)]) == 0
+        spec = SimSpec(grid, lambda x: 1.0 + 0.5 * -0.2 * (1.0 + np.tanh((x - 0.0) / 1.0)), 0.0,
+                       lambda x: 1.0 * np.exp(-(((x - -2.5) / 0.7) ** 2)), np.zeros_like)
+        save_grid_csv(ref, grid, simulate_run(spec).values, field_name="psi")
+        assert out.read_bytes() == ref.read_bytes()
+
+    def test_simulate_constant_speed_spec_is_the_bare_number(self, tmp_path):
+        outs = [tmp_path / "const.csv", tmp_path / "bare.csv"]
+        for speed, out in zip(["const:0.8", "0.8"], outs):
+            assert run_cli(["simulate", "--grid=-5,0.05,200x0,0.04,100", "--speed", speed,
+                            "--initial", "gauss:-2.5,0.7", "--out", str(out)]) == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes()
 
     def test_pv_on_overhanging_grid_writes_nan_outside(self, tmp_path):
         field_csv = tmp_path / "field.csv"
