@@ -343,8 +343,6 @@ def _cmd_medium(args):
         xi_list = [float(v) for v in args.xi.split(",") if v.strip()]
     except ValueError as exc:
         raise UsageError(f"bad --xi list {args.xi!r}") from exc
-    if any(xi == 0 for xi in xi_list) or not xi_list:
-        raise UsageError("--xi values must be nonzero")
     rows = media_mod.dynamic_separation(medium, args.dx, xi_list)
     media_mod.save_separation_csv(args.out, rows)
     return 0

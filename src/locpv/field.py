@@ -18,6 +18,7 @@ import functools
 import io
 import operator
 from dataclasses import dataclass
+from math import copysign
 
 import numpy as np
 
@@ -82,6 +83,8 @@ class Grid1x1:
         _check_finite(x0=self.x0, t0=self.t0)
         if self.nx < 2 or self.nt < 2:
             raise ValueError("grid needs at least 2 points per axis")
+        with np.errstate(over="ignore"):  # numpy scalars warn where the last node overflows
+            _check_finite(x_max=self.x_max, t_max=self.t_max)
 
     @property
     def xs(self):
@@ -517,6 +520,7 @@ class SampledField:
         self.values = values
         self._deriv_grids = {}
         self._block = None, None  # the last 4x4 blocks a point query read: key, floats
+        self._sums = None, None  # a point query's time, and its t-sums by first x-node
 
     # -- derivative grids ----------------------------------------------------
 
@@ -583,26 +587,39 @@ class SampledField:
     def _point(self, x, t, pairs):
         """``derivs`` of a tuple of pairs at the float point (x, t): its sums in their
         order, on the Python floats of one 4x4 block of each pair's ``derivative_grid``,
-        an axis of fewer nodes padded by its last; the last blocks kept."""
+        an axis of fewer nodes padded by its last.  The sums along t of each block's
+        columns are kept for the last time asked, per first x-node, and the last
+        blocks under them."""
         g = self.grid
         if not g.contains(x, t):
             raise OutOfDomain(f"point ({x}, {t}) outside the sampling grid")
-        j0, (wt0, wt1, wt2, wt3) = _stencil(t, g.t0, g.dt, g.nt)
         i0, (wx0, wx1, wx2, wx3) = _stencil(x, g.x0, g.dx, g.nx)
-        key, blocks = self._block
-        if key != (pairs, j0, i0):  # consecutive probes mostly read the same blocks
-            blocks = [self.derivative_grid(p, q)[j0 : j0 + 4, i0 : i0 + 4].tolist()
-                      for p, q in pairs]
-            if g.nt < 4 or g.nx < 4:
-                blocks = [[r + r[-1:] * (4 - len(r)) for r in b + b[-1:] * (4 - len(b))]
-                          for b in blocks]
-            self._block = (pairs, j0, i0), blocks
-        return [(a0 * wt0 + a1 * wt1 + a2 * wt2 + a3 * wt3) * wx0
-                + (b0 * wt0 + b1 * wt1 + b2 * wt2 + b3 * wt3) * wx1
-                + (c0 * wt0 + c1 * wt1 + c2 * wt2 + c3 * wt3) * wx2
-                + (d0 * wt0 + d1 * wt1 + d2 * wt2 + d3 * wt3) * wx3
-                for (a0, b0, c0, d0), (a1, b1, c1, d1), (a2, b2, c2, d2), (a3, b3, c3, d3)
-                in blocks]
+        # RK4's k2 and k3 share a time, and k4 and the projection's probes; the
+        # t-weights' zeros take the sign of a zero t, so the key keeps it
+        tkey = pairs, t, copysign(1.0, t)
+        if self._sums[0] == tkey:
+            sums = self._sums[1]
+        else:
+            sums = {}
+            self._sums = tkey, sums
+        cols = sums.get(i0)
+        if cols is None:
+            j0, (wt0, wt1, wt2, wt3) = _stencil(t, g.t0, g.dt, g.nt)
+            key, blocks = self._block
+            if key != (pairs, j0, i0):  # consecutive probes mostly read the same blocks
+                blocks = [self.derivative_grid(p, q)[j0 : j0 + 4, i0 : i0 + 4].tolist()
+                          for p, q in pairs]
+                if g.nt < 4 or g.nx < 4:
+                    blocks = [[r + r[-1:] * (4 - len(r)) for r in b + b[-1:] * (4 - len(b))]
+                              for b in blocks]
+                self._block = (pairs, j0, i0), blocks
+            cols = sums[i0] = [(a0 * wt0 + a1 * wt1 + a2 * wt2 + a3 * wt3,
+                                b0 * wt0 + b1 * wt1 + b2 * wt2 + b3 * wt3,
+                                c0 * wt0 + c1 * wt1 + c2 * wt2 + c3 * wt3,
+                                d0 * wt0 + d1 * wt1 + d2 * wt2 + d3 * wt3)
+                               for (a0, b0, c0, d0), (a1, b1, c1, d1), (a2, b2, c2, d2),
+                               (a3, b3, c3, d3) in blocks]
+        return [a * wx0 + b * wx1 + c * wx2 + d * wx3 for a, b, c, d in cols]
 
     def partials(self, x, t, order):
         """As ``AnalyticField.partials``, from the FD grids of its three pairs, so that a
@@ -612,8 +629,9 @@ class SampledField:
         return tuple(self._point(float(x), float(t), _PARTIAL_PAIRS[order]))
 
     def __getstate__(self):
-        # the FD grids and the last blocks are caches: a copy builds its own
-        return {**self.__dict__, "_deriv_grids": {}, "_block": (None, None)}
+        # the FD grids, the last blocks and the t-sums are caches: a copy builds its own
+        return {**self.__dict__, "_deriv_grids": {}, "_block": (None, None),
+                "_sums": (None, None)}
 
 
 # the (p, q) that ``partials`` reads at each order N: (0, N), (0, N+1) and (1, N)

@@ -170,6 +170,8 @@ def subluminality_audit(add_rule, grid_resolution, c=1.0) -> AuditReport:
         raise ValueError("grid_resolution must be >= 2")
     if not 0 < c < np.inf:
         raise ValueError("light speed must be positive and finite")
+    if not 0 < c * c < np.inf:  # as BoostFrame checks, before the grid overflows 2c
+        raise ValueError("light speed squared must be a positive finite float")
     pts = np.linspace(-c, c, grid_resolution + 2)[1:-1]
     add = add_v0 if add_rule == "order0" else add_vI_freewave
     # row i holds |v'| / c at frame speed pts[i] for every v in pts

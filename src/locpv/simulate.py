@@ -44,13 +44,25 @@ class SimSpec:
         return np.broadcast_to(np.asarray(a, float), xs.shape).astype(float)
 
     def check_cfl(self):
-        a = self.speed_array()
-        if not np.isfinite(a).all():
-            raise ValueError("wave speed must be finite at every grid node")
-        ratio = np.max(np.abs(a)) * self.domain.dt / self.domain.dx
-        if ratio > 1.0 + 1e-12:
-            raise CFLViolation(f"max(a)*dt/dx = {ratio:.6g} exceeds 1")
-        return ratio
+        return _cfl_ratio(self, self.speed_array())
+
+
+def _cfl_ratio(spec: SimSpec, a):
+    """max|a|*dt/dx of the node speeds a; ValueError or CFLViolation unless it is
+    finite and at most 1."""
+    if not np.isfinite(a).all():
+        raise ValueError("wave speed must be finite at every grid node")
+    ratio = np.max(np.abs(a)) * spec.domain.dt / spec.domain.dx
+    if ratio > 1.0 + 1e-12:
+        raise CFLViolation(f"max(a)*dt/dx = {ratio:.6g} exceeds 1")
+    return ratio
+
+
+def _checked_a2(spec: SimSpec):
+    """a^2 at the grid nodes, from one evaluation of the speed, after the CFL check."""
+    a = spec.speed_array()
+    _cfl_ratio(spec, a)
+    return a ** 2
 
 
 def _laplacian(u, periodic, out):
@@ -108,34 +120,37 @@ def _leapfrog(psi, a2, dt, dx, gamma, periodic):
 
 def run(spec: SimSpec) -> SampledField:
     """Integrate the spec over its full grid and return the space-time field."""
-    spec.check_cfl()
+    a2 = _checked_a2(spec)
     xs = spec.domain.xs
     psi0 = np.asarray(spec.initial_profile(xs), float)
     v0 = np.asarray(spec.initial_rate(xs), float)
     if not (np.all(np.isfinite(psi0)) and np.all(np.isfinite(v0))):
         raise ValueError("initial data must be finite")
-    a2 = spec.speed_array() ** 2
     periodic = spec.boundary == "Periodic"
     psi1 = _first_step(spec, psi0, v0, a2, periodic)
     if not periodic:
         psi0 = psi0.copy()
         psi0[0] = psi0[-1] = 0.0
         psi1[0] = psi1[-1] = 0.0
-    return run_from_levels(spec, psi0, psi1)
+    return _integrate(spec, psi0, psi1, a2)
 
 
 def run_from_levels(spec: SimSpec, psi0, psi1) -> SampledField:
     """Integrate from two explicit starting levels (exposes leapfrog symmetry:
     restarting from the last two levels in reverse order retraces an undamped
     run exactly)."""
-    spec.check_cfl()
+    return _integrate(spec, psi0, psi1, _checked_a2(spec))
+
+
+def _integrate(spec: SimSpec, psi0, psi1, a2) -> SampledField:
+    """The leapfrog from two starting levels, with the checked a^2 at the nodes."""
     g = spec.domain
     psi = np.zeros((g.nt, g.nx))
     psi[0] = psi0
     psi[1] = psi1
     bad = _leapfrog(
         psi,
-        spec.speed_array() ** 2,
+        a2,
         float(g.dt),
         float(g.dx),
         float(spec.gamma),

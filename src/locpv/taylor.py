@@ -27,13 +27,16 @@ as one Python function of (x, t): a scalar jet then costs a function call,
 not an interpreted product loop (Jorba & Zou, *Exp. Math.* 14 (2005)
 generate Taylor recurrences once per system the same way).  It runs the
 engine's own series functions and keeps its zero skips, so its bits are the
-engine's, which stays the reference and computes every batch.
+engine's, which stays the reference and computes every batch.  The code
+takes its constants as arguments, and each text is compiled once per process:
+fields of one family share it, except where a parameter folds (a = 1) or two
+constants coincide (-lam*0.0 is the constant 0.0 for lam < 0, not -0.0).
 """
 
 from __future__ import annotations
 
 import operator
-from functools import cache
+from functools import cache, lru_cache
 from math import factorial, isfinite
 
 import numpy as np
@@ -467,6 +470,12 @@ def straight_line(expr, order, tdeg):
     body = "".join(f"        {line}\n" for line in tape.lines)
     source = (f"def make({', '.join(tape.names.values())}):\n    def jet(x, t):\n"
               f"{body}        return [{', '.join(out)}]\n    return jet\n")
+    return _compiled(source)(*tape.consts)
+
+
+@lru_cache(maxsize=128)
+def _compiled(source):
+    """The ``make`` of a recorded jet's text, compiled once per process."""
     namespace = {"__name__": __name__}  # numpy warnings name this module
     exec(compile(source, "<recorded jet>", "exec"), namespace)
-    return namespace["make"](*tape.consts)
+    return namespace["make"]

@@ -62,6 +62,9 @@ class TestGrid:
             dict(x0=0, dx=0.1, nx=5, t0=0, dt=np.nan, nt=5),
             dict(x0=np.nan, dx=0.1, nx=5, t0=0, dt=0.1, nt=5),
             dict(x0=0, dx=0.1, nx=5, t0=-np.inf, dt=0.1, nt=5),
+            # the last node overflows to inf, from Python floats or numpy scalars
+            dict(x0=-1e308, dx=1e308, nx=3, t0=0, dt=0.1, nt=5),
+            dict(x0=0, dx=0.1, nx=5, t0=np.float64(1e308), dt=np.float64(1e308), nt=3),
         ],
     )
     def test_invalid_grids_rejected(self, kw):

@@ -118,6 +118,48 @@ def test_sampled_partials_are_the_jets_entries(case):
         assert _outcome(_from_jet, field, x, t, order) == want
 
 
+def _bits(values):
+    return np.array(values, float).view(np.uint64).tolist()
+
+
+_ZERO_T0 = Grid1x1(-1.0, 0.25, 9, 0.0, 0.25, 6)
+
+
+def _zero_row_values():
+    # the row at t = 0 is -0.0: the t-weights' zeros then decide the sign of a sum
+    values = np.random.default_rng(0).standard_normal((_ZERO_T0.nt, _ZERO_T0.nx))
+    values[0] = -0.0
+    return values
+
+
+def test_a_point_query_at_t_0_and_minus_0_reads_each_its_own_sums():
+    # the t-sums a field keeps at one time must not answer the other zero
+    values = _zero_row_values()
+    field, differ = SampledField(_ZERO_T0, values), 0
+    for x in np.linspace(-1.0, 1.0, 17).tolist():
+        for order in range(SampledField.nmax + 1):
+            got = {}
+            for t in (0.0, -0.0, 0.0, -0.0):
+                want = _bits(SampledField(_ZERO_T0, values).partials(x, t, order))
+                assert _bits(field.partials(x, t, order)) == want
+                got[str(t)] = want
+            differ += got["0.0"] != got["-0.0"]
+    assert differ  # the two zeros give other bits somewhere
+
+
+def test_kept_sums_answer_only_their_time_and_pairs():
+    # t, t', t at one first x-node: a miss after a hit after a miss; then other
+    # pairs at one time and x-node; each as a fresh copy answers it
+    values = _zero_row_values()
+    field = SampledField(_ZERO_T0, values)
+    queries = [(0.3, 0.4, [(0, 0), (0, 1)]), (0.31, 0.62, [(0, 0), (0, 1)]),
+               (0.32, 0.4, [(0, 0), (0, 1)]), (0.33, 0.4, [(1, 0), (0, 2)]),
+               (0.3, 0.4, [(0, 0), (0, 1)]), (0.3, 0.4, [(0, 0)])]
+    for x, t, pairs in queries:
+        want = SampledField(_ZERO_T0, values).derivs(x, t, pairs)
+        assert _bits(field.derivs(x, t, pairs)) == _bits(want)
+
+
 @pytest.mark.parametrize("pairs", [[(0, 0), (0, 1)], [[0, 0], [0, 1]]], ids=["tuples", "lists"])
 def test_a_float_query_reads_the_pairs_asked_even_if_the_caller_changed_them(pairs):
     # the blocks a point query keeps are keyed on a copy of its pairs: a list that
@@ -167,7 +209,8 @@ def test_a_tracked_field_pickles_and_its_copy_tracks_alike(field, order, target,
     fresh = pickle.dumps(field)
     attr = Attribute(order, target, *find_seed(field, order, target, near))
     first = track(field, attr, 1.2, step=0.01)
-    # its caches, recorded jets or FD grids and blocks, do not pickle
+    field.partials(attr.x0, attr.t0, order)  # a point probe leaves its t-sums kept
+    # its caches, recorded jets or FD grids, blocks and t-sums, do not pickle
     assert pickle.dumps(field) == fresh
     copy = pickle.loads(pickle.dumps(field))
     again = track(copy, attr, 1.2, step=0.01)

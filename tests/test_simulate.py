@@ -159,6 +159,20 @@ class TestVariableSpeed:
         s = run(spec)
         assert np.all(np.isfinite(s.values))
 
+    def test_a_run_evaluates_the_speed_once(self):
+        # the CFL check and the kernel read one evaluation; run_from_levels makes its own
+        g, calls = Grid1x1(-5.0, 0.025, 200, 0.0, 0.02, 50), []
+
+        def speed(x):
+            calls.append(x)
+            return 1.0 + 0.2 * np.tanh(x)
+
+        spec = SimSpec(g, speed, 0.1, gauss_pulse, lambda x: -gauss_pulse_dx(x))
+        s = run(spec)
+        assert len(calls) == 1
+        again = run_from_levels(spec, s.values[0], s.values[1])
+        assert len(calls) == 2 and np.array_equal(again.values, s.values)
+
 
 def plain_leapfrog(spec):
     """Reference leapfrog written point by point, in the kernel's operation order."""

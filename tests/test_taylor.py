@@ -438,6 +438,31 @@ def test_a_fields_second_jet_of_an_order_records_nothing(monkeypatch):
     assert recorded == [(2, 2), (3, 3), (2, 1)] and products == []
 
 
+@pytest.mark.parametrize("first, second, shared", [
+    ((0.8, 0.2), (0.7, 0.12), True),
+    ((0.7, 0.12), (0.8, 0.2), True),
+    # a = 1 folds the product with 1/a: a text of its own at orders 1 and up
+    ((0.8, 0.2), (1.0, 0.2), False),
+    ((1.0, 0.2), (0.8, 0.2), False),
+], ids=["one-text", "one-text-reversed", "special-a-second", "special-a-first"])
+def test_fields_of_one_family_each_equal_the_engine_whichever_records_first(
+        first, second, shared):
+    # each text is compiled once per process and made with each field's constants
+    locpv.taylor._compiled.cache_clear()
+    points = [(0.3, -0.2), (-1.1, 0.7), (0.0, 0.0)]
+    with np.errstate(all="ignore"):
+        for params in (first, second):
+            fld = DampedTranslational(*params)
+            for order in range(6):
+                for x, t in points:
+                    assert_same_bits(derivs_table(fld, x, t, order),
+                                     engine_table(fld, x, t, order))
+            if params == first:
+                compiled = locpv.taylor._compiled.cache_info().misses
+    assert compiled == 6
+    assert (locpv.taylor._compiled.cache_info().misses == 6) is shared
+
+
 _CODE_NAME = re.compile(r"[vkc]\d+(_\d+)?|x|t|make|jet|def|return|if|else|float|map")
 
 
@@ -445,6 +470,7 @@ def test_recorded_code_holds_no_user_text(monkeypatch):
     # constants, inf and nan among them, reach the code as arguments of the
     # function that makes it, so its text holds none of the expression's
     sources = []
+    locpv.taylor._compiled.cache_clear()  # texts compiled before are not compiled again
     monkeypatch.setattr(locpv.taylor, "compile",
                         lambda source, *args: sources.append(source) or compile(source, *args),
                         raising=False)
