@@ -44,25 +44,19 @@ class SimSpec:
         return np.broadcast_to(np.asarray(a, float), xs.shape).astype(float)
 
     def check_cfl(self):
-        return _cfl_ratio(self, self.speed_array())
+        return _checked_speed(self)[1]
 
 
-def _cfl_ratio(spec: SimSpec, a):
-    """max|a|*dt/dx of the node speeds a; ValueError or CFLViolation unless it is
-    finite and at most 1."""
+def _checked_speed(spec: SimSpec):
+    """(a at the grid nodes, max|a|*dt/dx) from one evaluation of the speed;
+    ValueError or CFLViolation unless a is finite and the ratio at most 1."""
+    a = spec.speed_array()
     if not np.isfinite(a).all():
         raise ValueError("wave speed must be finite at every grid node")
     ratio = np.max(np.abs(a)) * spec.domain.dt / spec.domain.dx
     if ratio > 1.0 + 1e-12:
         raise CFLViolation(f"max(a)*dt/dx = {ratio:.6g} exceeds 1")
-    return ratio
-
-
-def _checked_a2(spec: SimSpec):
-    """a^2 at the grid nodes, from one evaluation of the speed, after the CFL check."""
-    a = spec.speed_array()
-    _cfl_ratio(spec, a)
-    return a ** 2
+    return a, ratio
 
 
 def _laplacian(u, periodic, out):
@@ -120,7 +114,7 @@ def _leapfrog(psi, a2, dt, dx, gamma, periodic):
 
 def run(spec: SimSpec) -> SampledField:
     """Integrate the spec over its full grid and return the space-time field."""
-    a2 = _checked_a2(spec)
+    a2 = _checked_speed(spec)[0] ** 2
     xs = spec.domain.xs
     psi0 = np.asarray(spec.initial_profile(xs), float)
     v0 = np.asarray(spec.initial_rate(xs), float)
@@ -139,7 +133,7 @@ def run_from_levels(spec: SimSpec, psi0, psi1) -> SampledField:
     """Integrate from two explicit starting levels (exposes leapfrog symmetry:
     restarting from the last two levels in reverse order retraces an undamped
     run exactly)."""
-    return _integrate(spec, psi0, psi1, _checked_a2(spec))
+    return _integrate(spec, psi0, psi1, _checked_speed(spec)[0] ** 2)
 
 
 def _integrate(spec: SimSpec, psi0, psi1, a2) -> SampledField:
