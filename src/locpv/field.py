@@ -81,6 +81,8 @@ class Grid1x1:
         if not (0 < self.dx < np.inf and 0 < self.dt < np.inf):
             raise ValueError("grid spacings must be positive and finite")
         _check_finite(x0=self.x0, t0=self.t0)
+        if not all(isinstance(n, (int, np.integer)) for n in (self.nx, self.nt)):
+            raise ValueError("grid sizes must be integers")
         if self.nx < 2 or self.nt < 2:
             raise ValueError("grid needs at least 2 points per axis")
         with np.errstate(over="ignore"):  # numpy scalars warn where the last node overflows
@@ -693,11 +695,8 @@ def load_grid_csv(path):
     with open(path) as fh:
         lines = fh.read().splitlines()
     header = {}
-    body_start = 0
-    for i, line in enumerate(lines):
-        if not line.startswith("#"):
-            body_start = i
-            break
+    body_start = next((i for i, line in enumerate(lines) if not line.startswith("#")), len(lines))
+    for line in lines[:body_start]:
         for tokenpair in line[1:].split():
             if "=" in tokenpair:
                 k, v = tokenpair.split("=", 1)

@@ -38,6 +38,8 @@ __all__ = [
 
 # relative slack of the subluminality audit: |v'| may exceed c by this much
 SUBLUMINAL_TOL = 1e-12
+# the audit holds resolution**2 floats: 4096 is 128 MiB
+MAX_AUDIT_RESOLUTION = 4096
 
 
 @dataclass(frozen=True)
@@ -166,8 +168,8 @@ def subluminality_audit(add_rule, grid_resolution, c=1.0) -> AuditReport:
     """
     if add_rule not in ("order0", "order1"):
         raise ValueError("add_rule must be 'order0' or 'order1'")
-    if grid_resolution < 2:
-        raise ValueError("grid_resolution must be >= 2")
+    if not 2 <= grid_resolution <= MAX_AUDIT_RESOLUTION:
+        raise ValueError(f"grid_resolution must be in 2..{MAX_AUDIT_RESOLUTION}")
     if not 0 < c < np.inf:
         raise ValueError("light speed must be positive and finite")
     if not 0 < c * c < np.inf:  # as BoostFrame checks, before the grid overflows 2c

@@ -26,18 +26,21 @@ coefficients known only at run time, and returns the same float operations
 as one Python function of (x, t): a scalar jet then costs a function call,
 not an interpreted product loop (Jorba & Zou, *Exp. Math.* 14 (2005)
 generate Taylor recurrences once per system the same way).  It runs the
-engine's own series functions and keeps its zero skips, so its bits are the
-engine's, which stays the reference and computes every batch.  The code
-takes its constants as arguments, and each text is compiled once per process:
-fields of one family share it, except where a parameter folds (a = 1) or two
-constants coincide (-lam*0.0 is the constant 0.0 for lam < 0, not -0.0).
+engine's own series functions, and a product is the engine's loop written out:
+one statement out[k] + a[i] * b[j] per term, the terms of a coefficient known
+only at run time under its zero test, and a term folded only where all its
+operands are constants.  So its bits are the engine's, which stays the
+reference and computes every batch.  The code takes its constants as
+arguments, and each text is compiled once per process: fields of one family
+share it, except where a parameter folds (a = 1) or two constants coincide
+(-lam*0.0 is the constant 0.0 for lam < 0, not -0.0).
 """
 
 from __future__ import annotations
 
 import operator
 from functools import cache, lru_cache
-from math import factorial, isfinite
+from math import factorial
 
 import numpy as np
 
@@ -100,19 +103,9 @@ class Taylor2:
 
     __slots__ = ("flat", "order", "tdeg", "shape")
 
-    def __init__(self, coef):
-        """A jet from its square array of coefficients, coef[p, q, *batch]."""
-        coef = np.asarray(coef, dtype=float)
-        self.order, self.shape = coef.shape[0] - 1, coef.shape[2:]
-        self.tdeg = self.order
-        rows = coef.tolist() if coef.ndim == 2 else coef
-        self.flat = [rows[p][q] for p, q in _indices(self.order, self.order)]
-
-    @classmethod
-    def _of(cls, flat, order, tdeg, shape):
-        jet = cls.__new__(cls)
-        jet.flat, jet.order, jet.tdeg, jet.shape = flat, order, tdeg, shape
-        return jet
+    def __init__(self, flat, order, tdeg, shape):
+        """A jet from its flat coefficients, in ascending (p, q)."""
+        self.flat, self.order, self.tdeg, self.shape = flat, order, tdeg, shape
 
     # -- constructors -------------------------------------------------------
 
@@ -122,7 +115,7 @@ class Taylor2:
         tdeg = order if tdeg is None else tdeg
         flat = [0.0] * len(_indices(order, tdeg))
         flat[0] = value
-        return cls._of(flat, order, tdeg, _broadcast(_shape(value), shape))
+        return cls(flat, order, tdeg, _broadcast(_shape(value), shape))
 
     @classmethod
     def variables(cls, x, t, order, tdeg=None):
@@ -136,7 +129,7 @@ class Taylor2:
             xs[1] = 1.0  # the coefficient of dx, (0, 1)
         if tdeg >= 1:
             ts[order + 1] = 1.0  # and of dt, (1, 0)
-        return cls._of(xs, order, tdeg, shape), cls._of(ts, order, tdeg, shape)
+        return cls(xs, order, tdeg, shape), cls(ts, order, tdeg, shape)
 
     # -- inspection ---------------------------------------------------------
 
@@ -170,11 +163,11 @@ class Taylor2:
         a = self.flat
         if isinstance(other, Taylor2):
             self._check(other)
-            return Taylor2._of(list(map(op, a, other.flat)), self.order, self.tdeg,
-                               _broadcast(self.shape, other.shape))
+            return Taylor2(list(map(op, a, other.flat)), self.order, self.tdeg,
+                           _broadcast(self.shape, other.shape))
         # a constant is a jet whose other coefficients are +0.0
         flat = [op(a[0], other)] + [op(v, 0.0) for v in a[1:]]
-        return Taylor2._of(flat, self.order, self.tdeg, _broadcast(self.shape, _shape(other)))
+        return Taylor2(flat, self.order, self.tdeg, _broadcast(self.shape, _shape(other)))
 
     def __add__(self, other):
         return self._elementwise(operator.add, other)
@@ -182,7 +175,7 @@ class Taylor2:
     __radd__ = __add__
 
     def __neg__(self):
-        return Taylor2._of([-v for v in self.flat], self.order, self.tdeg, self.shape)
+        return Taylor2([-v for v in self.flat], self.order, self.tdeg, self.shape)
 
     def __sub__(self, other):
         return self._elementwise(operator.sub, other)
@@ -193,12 +186,12 @@ class Taylor2:
     def __mul__(self, other):
         if not isinstance(other, Taylor2):
             shape = _broadcast(self.shape, _shape(other))
-            return Taylor2._of([v * other for v in self.flat], self.order, self.tdeg, shape)
+            return Taylor2([v * other for v in self.flat], self.order, self.tdeg, shape)
         self._check(other)
         a, b = self.flat, other.flat
         if (tape := next((v.tape for v in a + b if type(v) is _Var), None)) is not None:
             m, tdeg = self.order, self.tdeg  # a recording
-            return Taylor2._of(tape.product(a, b, m, tdeg), m, tdeg, ())
+            return Taylor2(tape.product(a, b, m, tdeg), m, tdeg, ())
         out = [0.0] * len(a)
         zeros = {j for j, bj in enumerate(b) if type(bj) is float and bj == 0.0}
         for ai, terms in zip(a, _product_terms(self.order, self.tdeg)):
@@ -212,7 +205,7 @@ class Taylor2:
             for j, k in terms:
                 if j not in skip:
                     out[k] = out[k] + ai * b[j]
-        return Taylor2._of(out, self.order, self.tdeg, _broadcast(self.shape, other.shape))
+        return Taylor2(out, self.order, self.tdeg, _broadcast(self.shape, other.shape))
 
     def __rmul__(self, other):
         return self * other
@@ -220,7 +213,7 @@ class Taylor2:
     def __truediv__(self, other):
         if not isinstance(other, Taylor2):
             flat = [_entry(np.true_divide(v, other)) for v in self.flat]
-            return Taylor2._of(flat, self.order, self.tdeg, _broadcast(self.shape, _shape(other)))
+            return Taylor2(flat, self.order, self.tdeg, _broadcast(self.shape, _shape(other)))
         return self * t2_pow(other, -1)
 
     def __rtruediv__(self, other):
@@ -244,8 +237,8 @@ def t2_compose(u, series_fn, inline=False):
         c = u.value.tape.call(series_fn, u.value, m)
     else:
         c = [_entry(v) for v in series_fn(u.value, m)]
-    uhat = Taylor2._of([0.0] + u.flat[1:], m, tdeg, u.shape)
-    out = Taylor2._of([c[m]] + [0.0] * (len(u.flat) - 1), m, tdeg, u.shape)
+    uhat = Taylor2([0.0] + u.flat[1:], m, tdeg, u.shape)
+    out = Taylor2([c[m]] + [0.0] * (len(u.flat) - 1), m, tdeg, u.shape)
     for k in range(m - 1, -1, -1):
         out = out * uhat
         # the other coefficients are sums from +0.0, never -0.0, so adding
@@ -413,41 +406,33 @@ class _Tape:
         return var
 
     def product(self, a, b, m, tdeg):
-        """The coefficients of a * b as the engine adds its terms o + a[i] *
-        b[j], one line each.  The engine skips a zero a[i]; a run-time a[i]
-        times a finite constant is then +-0.0, which a sum from +0.0 absorbs,
-        and its other terms go under ``if a[i] != 0.0``."""
-        out, code, owned = [0.0] * len(a), {}, {}  # code[k]: out[k] as an expression
+        """The coefficients of a * b as the engine adds its terms, out[k] + a[i]
+        * b[j] from +0.0, one line each: a constant zero a[i] adds none, a term
+        of constants folds, and the terms of a run-time a[i] go under ``if a[i]
+        != 0.0``, each out[k] bound before it."""
+        out, first = [0.0] * len(a), len(self.lines)
         for ai, terms in zip(a, _product_terms(m, tdeg)):
-            if not (type(ai) is _Var or ai != 0.0):
+            var = type(ai) is _Var
+            if not (var or ai != 0.0):
                 continue
-            var, block, skipped, name = type(ai) is _Var, [], {}, self.ref(ai)
+            block = []
             for j, k in terms:
                 if var or type(b[j]) is _Var:
-                    term = f" + {name} * {self.ref(b[j])}"
-                elif k in code:
-                    term = f" + {self.ref(ai * b[j])}"
+                    term = f"{self.ref(ai)} * {self.ref(b[j])}"
+                elif type(out[k]) is _Var:
+                    term = self.ref(ai * b[j])
                 else:
                     out[k] = out[k] + ai * b[j]
                     continue
-                value = code.get(k) or self.ref(out[k])
-                if not var or type(b[j]) is not _Var and isfinite(b[j]):
-                    code[k] = value + term
-                    continue
-                # out[k] gets a variable of its own, for the block to change
-                if k not in code:
-                    owned[k] = _Var(self, f"v{len(self.lines)}_{k}")
-                    skipped.setdefault(value, []).append(owned[k].name)
-                elif k not in owned or value != owned[k].name:
-                    owned[k] = self.assign(value)
-                    value = owned[k].name
-                block.append(f"    {owned[k].name} = {value}{term}")
-                code[k] = owned[k].name
-            if skipped:
-                block += ["else:"] + [f"    {' = '.join(v)} = {c}" for c, v in skipped.items()]
-            self.lines += [f"if {name} != 0.0:", *block] if block else []
-        for k in code:
-            out[k] = owned[k] if k in owned and code[k] == owned[k].name else self.assign(code[k])
+                o = _Var(self, f"v{first}_{k}")
+                if var and type(out[k]) is not _Var:
+                    self.lines.append(f"{o.name} = {self.ref(out[k])}")
+                    out[k] = o
+                block.append(f"{o.name} = {self.ref(out[k])} + {term}")
+                out[k] = o
+            if var:
+                block = [f"if {ai.name} != 0.0:", *(f"    {line}" for line in block)]
+            self.lines += block
         return out
 
     def call(self, fn, u0, m):

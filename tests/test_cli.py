@@ -214,6 +214,16 @@ class TestExitCodes:
         assert [line for line in err if line.startswith("error:")] == [err[-1]]
         assert err[-1].startswith("error: UsageError: ")
 
+    def test_csv_with_a_header_and_no_rows_is_a_shape_error(self, tmp_path, capsys):
+        field_csv = tmp_path / "hdr.csv"
+        field_csv.write_text("# x0=0 dx=1 nx=3\n# t0=0 dt=1 nt=3\n")
+        code = run_cli(
+            ["pv", "--in", str(field_csv), "--order", "0", "--out", str(tmp_path / "o.csv")]
+        )
+        assert code == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "error: UsageError: CSV body shape does not match header grid"]
+
     def test_two_row_csv_is_stencil_clipped(self, tmp_path, capsys):
         # a 2-row grid is too short for the t-stencil of every velocity
         field_csv = tmp_path / "field.csv"

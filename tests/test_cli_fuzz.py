@@ -105,11 +105,12 @@ def test_drawn_specs_keep_the_cli_contract(option, data):
 
 
 # argvs that once broke the contract: a grid whose last node overflows to inf,
-# and a light speed whose audit grid (-c..c) overflows
+# a light speed whose audit grid (-c..c) overflows, and an audit too large to hold
 @pytest.mark.parametrize("argv", [
     ["pv", "--analytic=trans:gauss", "--grid=-1e308,1e308,3x0,0.1,5", "--order=0"],
     ["boost", "--audit=order0", "--resolution=3", "--c=1e308"],
-], ids=["grid-extent-overflows", "audit-grid-overflows"])
+    ["boost", "--audit=order0", "--resolution=100000000000"],
+], ids=["grid-extent-overflows", "audit-grid-overflows", "audit-too-large"])
 def test_pinned_argvs_keep_the_cli_contract(argv):
     assert_contract(argv)
     assert run(argv)[0] == 2

@@ -65,6 +65,9 @@ class TestGrid:
             # the last node overflows to inf, from Python floats or numpy scalars
             dict(x0=-1e308, dx=1e308, nx=3, t0=0, dt=0.1, nt=5),
             dict(x0=0, dx=0.1, nx=5, t0=np.float64(1e308), dt=np.float64(1e308), nt=3),
+            # a size that is not an integer: 3 nodes in xs, but x_max = 1.5
+            dict(x0=0, dx=1, nx=2.5, t0=0, dt=1, nt=3),
+            dict(x0=0, dx=1, nx=3, t0=0, dt=1, nt=np.float64(3.0)),
         ],
     )
     def test_invalid_grids_rejected(self, kw):
