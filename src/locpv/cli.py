@@ -9,7 +9,6 @@ either a grid CSV (--in) or an inline analytic spec (--analytic, grammar
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 import numpy as np
@@ -37,10 +36,6 @@ from .tracker import Attribute, find_seed, track
 __all__ = ["parse_args", "main"]
 
 
-class UsageError(Exception):
-    pass
-
-
 # ---------------------------------------------------------------------------
 # inline grammars
 # ---------------------------------------------------------------------------
@@ -49,13 +44,13 @@ class UsageError(Exception):
 def parse_grid(text) -> Grid1x1:
     parts = text.split("x")
     if len(parts) != 2:
-        raise UsageError(f"grid must be 'x0,dx,nx'x't0,dt,nt', got {text!r}")
+        raise ValueError(f"grid must be 'x0,dx,nx'x't0,dt,nt', got {text!r}")
     try:
         x0, dx, nx = parts[0].split(",")
         t0, dt, nt = parts[1].split(",")
         return Grid1x1(float(x0), float(dx), int(nx), float(t0), float(dt), int(nt))
     except (ValueError, TypeError) as exc:
-        raise UsageError(f"bad grid spec {text!r}: {exc}") from exc
+        raise ValueError(f"bad grid spec {text!r}: {exc}") from exc
 
 
 # option -> family -> (fewest numbers, most numbers, keys, whether it takes an envelope);
@@ -84,7 +79,7 @@ def parse_spec(option, text):
     families = SPECS[option]
     family, colon, rest = text.partition(":")
     if not colon or family not in families:
-        raise UsageError(f"{option} spec must be family:values with a family in "
+        raise ValueError(f"{option} spec must be family:values with a family in "
                          f"{', '.join(families)}, got {text!r}")
     lo, hi, keys, takes_envelope = families[family]
     takes = (f"{family} takes {lo}..{hi} numbers, keys {list(keys)} and "
@@ -103,9 +98,9 @@ def parse_spec(option, text):
         elif not eq and takes_envelope and envelope is None:
             envelope = tok
         else:
-            raise UsageError(f"bad token {tok!r} in {text!r}: {takes}")
+            raise ValueError(f"bad token {tok!r} in {text!r}: {takes}")
     if not lo <= len(nums) <= hi:
-        raise UsageError(f"{takes}, got {text!r}")
+        raise ValueError(f"{takes}, got {text!r}")
     return family, nums, params, envelope
 
 
@@ -114,7 +109,7 @@ def parse_analytic(text):
         try:
             return CustomField(text[len("custom:"):])
         except (ValueError, SyntaxError) as exc:
-            raise UsageError(f"bad custom expression: {exc}") from exc
+            raise ValueError(f"bad custom expression: {exc}") from exc
     family, _, params, envelope = parse_spec("--analytic", text)
     a, lam = params.get("a", 1.0), params.get("lambda", 0.0)
     envelope = envelope or "gauss"
@@ -141,7 +136,7 @@ def parse_speed(text):
         return vals[0]
     a0, da, center, width = vals + [0.0, 1.0][len(vals) - 2:]
     if width == 0 or not np.isfinite(vals).all():
-        raise UsageError(f"speed ramp width must be nonzero and values finite in {text!r}")
+        raise ValueError(f"speed ramp width must be nonzero and values finite in {text!r}")
 
     def speed(x):
         # a0 + ... may overflow to inf, which SimSpec rejects
@@ -155,7 +150,7 @@ def parse_initial(text):
     _, vals, _, _ = parse_spec("--initial", text)
     center, width, amp = vals + [1.0, 1.0][len(vals) - 1:]
     if width == 0 or not np.isfinite(vals).all():
-        raise UsageError(f"initial width must be nonzero and values finite in {text!r}")
+        raise ValueError(f"initial width must be nonzero and values finite in {text!r}")
 
     def profile(x):
         # far out, (x - center) / width overflows to inf, where the float Gaussian is 0
@@ -240,15 +235,11 @@ def parse_args(argv) -> argparse.Namespace:
     args = build_parser().parse_args(argv)
     nmax = ANALYTIC_NMAX if getattr(args, "analytic", None) else SAMPLED_NMAX
     if getattr(args, "order", None) is not None and not 0 <= args.order <= nmax:
-        raise UsageError(f"--order must be in 0..{nmax}")
-    if getattr(args, "infile", None) and not os.path.exists(args.infile):
-        raise FileNotFoundError(args.infile)
+        raise ValueError(f"--order must be in 0..{nmax}")
     if args.command == "simulate" and args.config:
-        if not os.path.exists(args.config):
-            raise FileNotFoundError(args.config)
         _apply_config(args)
     if args.command == "simulate" and not args.grid:
-        raise UsageError("simulate requires --grid (flag or config)")
+        raise ValueError("simulate requires --grid (flag or config)")
     return args
 
 
@@ -256,7 +247,7 @@ class _ConfigParser(argparse.ArgumentParser):
     """Reads --config lines as simulate flags; a bad line is a usage error."""
 
     def error(self, message):
-        raise UsageError(f"bad config: {message}")
+        raise ValueError(f"bad config: {message}")
 
 
 def _apply_config(args):
@@ -267,7 +258,7 @@ def _apply_config(args):
             if not line or line.startswith("#"):
                 continue
             if "=" not in line:
-                raise UsageError(f"bad config line {line!r}")
+                raise ValueError(f"bad config line {line!r}")
             k, v = (s.strip() for s in line.split("=", 1))
             flags.append(f"--{k}={v}")
     parser = _ConfigParser(add_help=False, allow_abbrev=False)
@@ -290,7 +281,7 @@ def _load_field(args):
 def _resolve_grid(args, fld):
     grid = parse_grid(args.grid) if args.grid else fld.grid
     if grid is None:
-        raise UsageError("--grid is required with --analytic")
+        raise ValueError("--grid is required with --analytic")
     return grid
 
 
@@ -307,7 +298,7 @@ def _cmd_track(args):
     try:
         x_near, t0 = (float(v) for v in args.seed_near.split(","))
     except ValueError as exc:
-        raise UsageError(f"bad --seed-near {args.seed_near!r}") from exc
+        raise ValueError(f"bad --seed-near {args.seed_near!r}") from exc
     x0, t0 = find_seed(fld, args.order, args.level, (x_near, t0))
     traj = track(
         fld, Attribute(args.order, args.level, x0, t0), args.t_end, step=args.step
@@ -327,7 +318,7 @@ def _cmd_boost(args):
             print(text)
         return 0
     if args.v is None or args.V is None:
-        raise UsageError("--add requires --v and --V")
+        raise ValueError("--add requires --v and --V")
     frame = BoostFrame(args.V, args.c)
     if args.add == "order0":
         out = add_v0(frame, args.v)
@@ -342,7 +333,7 @@ def _cmd_medium(args):
     try:
         xi_list = [float(v) for v in args.xi.split(",") if v.strip()]
     except ValueError as exc:
-        raise UsageError(f"bad --xi list {args.xi!r}") from exc
+        raise ValueError(f"bad --xi list {args.xi!r}") from exc
     rows = media_mod.dynamic_separation(medium, args.dx, xi_list)
     media_mod.save_separation_csv(args.out, rows)
     return 0
@@ -395,7 +386,8 @@ def main(argv=None) -> int:
     try:
         args = parse_args(argv)
         return _COMMANDS[args.command](args)
-    except (UsageError, ValueError) as exc:  # every ValueError in locpv validates input
+    # every ValueError in locpv validates input; a MemoryError is a grid too large to hold
+    except (ValueError, MemoryError) as exc:
         print(f"error: UsageError: {exc}", file=sys.stderr)
         return 2
     except LocpvError as exc:

@@ -27,6 +27,7 @@ from .taylor import (
     Taylor2,
     straight_line,
     t2_atan,
+    t2_compose,
     t2_cos,
     t2_exp,
     t2_log,
@@ -302,7 +303,8 @@ class KinkDamped(AnalyticField):
 
 @dataclass(frozen=True)
 class InhomogeneousMode(AnalyticField):
-    """psi(xi*t - k(x)*x) with k(x) = xi*n(x)/c, for a medium profile n."""
+    """psi(xi*t - k(x)*x) with k(x) = xi*n(x)/c.  The medium is any object with
+    ``series(x, m)``, the Taylor coefficients of n at x up to s^m, and ``c``."""
 
     xi: float
     medium: object  # media.MediumProfile
@@ -314,7 +316,7 @@ class InhomogeneousMode(AnalyticField):
         _check_envelope(self.envelope)
 
     def expr(self, xs, ts):
-        n = self.medium.taylor2(xs)
+        n = t2_compose(xs, self.medium.series)
         phi = self.xi * (ts - n * xs * (1.0 / self.medium.c))
         return ENVELOPES[self.envelope](phi)
 

@@ -10,6 +10,7 @@ computed and reported, never silently reconciled.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -24,7 +25,6 @@ from .errors import (
 )
 from .field import InhomogeneousMode
 from .phasevel import is_pole, pv_point
-from .taylor import Taylor2, t2_compose
 
 __all__ = [
     "MediumProfile",
@@ -63,16 +63,6 @@ class MediumProfile:
 
     def n(self, x):
         return self.series(x, 0)[0]
-
-    def n_prime(self, x):
-        return self.series(x, 1)[1]
-
-    def n_second(self, x):
-        return 2.0 * self.series(x, 2)[2]
-
-    def taylor2(self, xs: Taylor2) -> Taylor2:
-        """n applied to a coordinate jet (used by InhomogeneousMode)."""
-        return t2_compose(xs, self.series)
 
 
 class ConstantIndex(MediumProfile):
@@ -177,18 +167,16 @@ class ModeSpec:
 
     xi: float
     medium: MediumProfile
-    envelope: str = "gauss"
 
     def __post_init__(self):
         if not np.isfinite(self.xi) or self.xi == 0:
             raise ValueError("xi must be finite and nonzero")
 
-    def field(self, envelope=None) -> InhomogeneousMode:
-        # one field per envelope, so that its recorded jets serve every call
-        fields, envelope = self.__dict__.setdefault("_fields", {}), envelope or self.envelope
-        if envelope not in fields:
-            fields[envelope] = InhomogeneousMode(self.xi, self.medium, envelope)
-        return fields[envelope]
+    @functools.cached_property
+    def field(self) -> InhomogeneousMode:
+        """The mode with the exponential envelope; one field, so that its recorded
+        jets serve every call."""
+        return InhomogeneousMode(self.xi, self.medium, "exp")
 
 
 # ---------------------------------------------------------------------------
@@ -198,7 +186,8 @@ class ModeSpec:
 
 def v0_local(medium: MediumProfile, x):
     """c / (n'(x)*x + n(x)); independent of xi and of the envelope."""
-    den = medium.n_prime(x) * x + medium.n(x)
+    n, npr = medium.series(x, 1)
+    den = npr * x + n
     if is_pole(medium.c, den):
         raise DegenerateDenominator("n'(x)*x + n(x) vanished")
     return medium.c / den
@@ -209,8 +198,8 @@ def transit_time(medium: MediumProfile, x0, x1):
     if x1 == x0:
         raise DegenerateInterval("x1 must differ from x0")
     probes = np.linspace(x0, x1, 257)
-    n, n_prime = medium.series(probes, 1)
-    dens = n_prime * probes + n
+    n, npr = medium.series(probes, 1)
+    dens = npr * probes + n
     if np.any(is_pole(medium.c, dens)) or np.any(np.sign(dens[:-1]) != np.sign(dens[1:])):
         raise PoleOnPath("v0_local has a pole inside the interval")
     return (x1 * medium.n(x1) - x0 * medium.n(x0)) / medium.c
@@ -229,15 +218,10 @@ def v0_global(medium: MediumProfile, dx):
 # ---------------------------------------------------------------------------
 
 
-def _g_derivs(medium, x):
-    """(x*n)' and (x*n)'' at x."""
-    n, npr, nsec = medium.n(x), medium.n_prime(x), medium.n_second(x)
-    return n + x * npr, 2.0 * npr + x * nsec
-
-
 def vI_local(mode: ModeSpec, x):
     """Printed local relation: c/v_I = (c/xi)*(xn)''/(xn)' - (xn)'."""
-    gp, gpp = _g_derivs(mode.medium, x)
+    n, npr, c2 = mode.medium.series(x, 2)  # n'' = 2 * c2
+    gp, gpp = n + x * npr, 2.0 * npr + x * (2.0 * c2)
     if is_pole(gpp, gp):
         raise DegenerateDenominator("(x*n)' vanished")
     rhs = (mode.medium.c / mode.xi) * (gpp / gp) - gp
@@ -252,8 +236,9 @@ def vI_global(mode: ModeSpec, dx):
         raise DegenerateInterval("dx must be nonzero")
     m = mode.medium
     with np.errstate(all="ignore"):  # arg or c/(xi*dx) may overflow: the checks below report it
-        arg = m.n_prime(dx) * dx + m.n(dx)
-        rhs = m.n(dx) - (m.c / (mode.xi * dx)) * np.log(arg)
+        n, npr = m.series(dx, 1)
+        arg = npr * dx + n
+        rhs = n - (m.c / (mode.xi * dx)) * np.log(arg)
     if arg <= 0:
         raise NonpositiveLogArgument("log argument n'(dx)*dx + n(dx) not positive")
     if not math.isfinite(rhs) or is_pole(m.c, rhs):
@@ -276,7 +261,7 @@ def vI_local_rederived(mode: ModeSpec, x):
     """
     with np.errstate(all="ignore"):  # an inf t has no PV: reported as undefined below
         t = mode.medium.n(x) * x / mode.medium.c
-    v = pv_point(mode.field(envelope="exp"), x, t, order=1)
+    v = pv_point(mode.field, x, t, order=1)
     if v is None:
         raise DegenerateDenominator("rederived first-order PV undefined")
     return v

@@ -99,7 +99,9 @@ def pv_field(field, grid: Grid1x1, order: int, eps_den=None) -> PhaseVelocityFie
             scale = np.max(a, where=a < np.inf, initial=0.0)
         eps_den = max(EPS_DEN_FLOOR, EPS_DEN_REL * scale)
     # finite num and den, |den| >= eps_den and not is_pole, then -num / den or nan
-    # into a's buffer, 16 rows at a time
+    # into a's buffer, 16 rows at a time; is_pole's rule is written in place, as a
+    # call per block allocates its temporaries (same bits, the cached 2000x1200 FD
+    # sweep 9.4-9.9 ms -> 13.5-14.2 ms on a 2-core VM)
     values, mask, thr = a, np.empty(a.shape, bool), np.empty(a[:16].shape)
     with np.errstate(all="ignore"):
         for b in range(0, len(a), 16):

@@ -167,7 +167,7 @@ def test_criterion_6_media_relations():
     m = LinearIndex(1.0, 0.1)
     t_closed = transit_time(m, 0.0, 2.0)
 
-    fld = ModeSpec(1.0, m, "exp").field()
+    fld = ModeSpec(1.0, m).field
     traj = track(fld, Attribute(0, 1.0, 0.0, 0.0), t_end=3.0, step=0.002)
     spline = CubicHermiteSpline(traj.t, traj.x, traj.v_local)
     t_tracked = brentq(lambda t: spline(t) - 2.0, traj.t[0], traj.t[-1])

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import locpv
-from locpv.cli import UsageError, main, parse_analytic, parse_grid, parse_medium
+from locpv.cli import main, parse_analytic, parse_grid, parse_medium
 from locpv.field import (
     DampedTranslational,
     Grid1x1,
@@ -49,9 +49,9 @@ class TestGrammars:
         assert (g.x0, g.dx, g.nx, g.t0, g.dt, g.nt) == (0.0, 0.01, 200, 0.0, 0.01, 200)
 
     def test_grid_grammar_rejects(self):
-        with pytest.raises(UsageError):
+        with pytest.raises(ValueError):
             parse_grid("0,0.01,200")
-        with pytest.raises(UsageError):
+        with pytest.raises(ValueError):
             parse_grid("0,0.01x0,0.01,5")
 
     def test_analytic_grammar(self):
@@ -61,9 +61,9 @@ class TestGrammars:
         assert isinstance(parse_analytic("harmonic:omega=3,k=1.5"), Harmonic)
 
     def test_analytic_grammar_rejects(self):
-        with pytest.raises(UsageError):
+        with pytest.raises(ValueError):
             parse_analytic("vortex:gauss,a=1")
-        with pytest.raises(UsageError):
+        with pytest.raises(ValueError):
             parse_analytic("trans:gauss,omega=3")
 
     def test_custom_expression_passthrough(self):
@@ -71,13 +71,13 @@ class TestGrammars:
         assert fld.eval(0.0, 0.0) == pytest.approx(0.0)
 
     def test_custom_exponent_in_x_is_usage_error(self):
-        with pytest.raises(UsageError):
+        with pytest.raises(ValueError):
             parse_analytic("custom:x**x")
 
     def test_medium_grammar(self):
         m = parse_medium("linear:1,0.1", c=1.0)
         assert m.n(2.0) == pytest.approx(1.2)
-        with pytest.raises(UsageError):
+        with pytest.raises(ValueError):
             parse_medium("grin:1,2,3", c=1.0)
 
 

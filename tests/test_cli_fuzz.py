@@ -105,12 +105,20 @@ def test_drawn_specs_keep_the_cli_contract(option, data):
 
 
 # argvs that once broke the contract: a grid whose last node overflows to inf,
-# a light speed whose audit grid (-c..c) overflows, and an audit too large to hold
+# a light speed whose audit grid (-c..c) overflows, an audit too large to hold,
+# and grids whose 1e11 x nodes numpy refuses to allocate at once
+_HUGE_GRID = "--grid=0,0.1,99999999999x0,0.1,99999999"
+
+
 @pytest.mark.parametrize("argv", [
     ["pv", "--analytic=trans:gauss", "--grid=-1e308,1e308,3x0,0.1,5", "--order=0"],
     ["boost", "--audit=order0", "--resolution=3", "--c=1e308"],
     ["boost", "--audit=order0", "--resolution=100000000000"],
-], ids=["grid-extent-overflows", "audit-grid-overflows", "audit-too-large"])
+    ["pv", "--analytic=trans:gauss,a=1", "--order=0", _HUGE_GRID],
+    ["wavelength", "--analytic=trans:gauss,a=1", _HUGE_GRID],
+    ["simulate", _HUGE_GRID],
+], ids=["grid-extent-overflows", "audit-grid-overflows", "audit-too-large",
+        "pv-grid-too-large", "wavelength-grid-too-large", "simulate-grid-too-large"])
 def test_pinned_argvs_keep_the_cli_contract(argv):
     assert_contract(argv)
     assert run(argv)[0] == 2

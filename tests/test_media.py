@@ -9,6 +9,7 @@ from scipy.interpolate import CubicHermiteSpline, PchipInterpolator
 from scipy.optimize import brentq
 
 import locpv.field
+from conftest import assert_same_bits
 from locpv.errors import (
     DegenerateDenominator,
     DegenerateInterval,
@@ -51,7 +52,7 @@ class TestProfiles:
         h = 1e-5
         for x in rng.uniform(-2, 2, 100):
             fd = (medium.n(x + h) - medium.n(x - h)) / (2 * h)
-            assert medium.n_prime(x) == pytest.approx(fd, rel=1e-8, abs=1e-8)
+            assert medium.series(x, 1)[1] == pytest.approx(fd, rel=1e-8, abs=1e-8)
 
     def test_a_ramp_wider_than_any_power_is_flat(self):
         # width ** k overflows a Python float from k = 2: the k-th coefficient
@@ -218,7 +219,7 @@ class TestZeroOrder:
         # arrival time at x = 2
         m = LinearIndex(1.0, 0.1)
         t_closed = transit_time(m, 0.0, 2.0)
-        fld = ModeSpec(1.0, m, "exp").field()
+        fld = ModeSpec(1.0, m).field
         traj = track(fld, Attribute(0, 1.0, 0.0, 0.0), t_end=3.0, step=0.002)
         spline = CubicHermiteSpline(traj.t, traj.x, traj.v_local)
         t_arr = brentq(lambda t: spline(t) - 2.0, traj.t[0], traj.t[-1])
@@ -239,7 +240,7 @@ class TestFirstOrderPrinted:
     def test_local_large_xi_limit(self):
         m = LinearIndex(1.0, 0.1)
         mode = ModeSpec(1e12, m)
-        gp = m.n(1.0) + 1.0 * m.n_prime(1.0)
+        gp = m.n(1.0) + 1.0 * m.series(1.0, 1)[1]
         assert vI_local(mode, 1.0) == pytest.approx(-1.0 / gp, rel=1e-9)
 
     def test_global_vacuum(self):
@@ -270,6 +271,36 @@ class TestFirstOrderPrinted:
         # c/(xi*dx) overflows to inf, and inf * log(n(dx)) = inf * 0 is nan
         with pytest.raises(DegenerateDenominator):
             vI_global(ModeSpec(1.0, LinearIndex(1.0, 0.1)), 1e-310)
+
+    @pytest.mark.parametrize("c", [1.0, 0.7, 3e8])
+    def test_one_series_call_keeps_the_separate_calls_bits(self, c):
+        # v0_local, vI_local and vI_global as written with one call per derivative
+        def reference(m, xi, x):
+            def n(u):
+                return m.series(u, 0)[0]
+
+            def n_prime(u):
+                return m.series(u, 1)[1]
+
+            def n_second(u):
+                return 2.0 * m.series(u, 2)[2]
+
+            gp, gpp = n(x) + x * n_prime(x), 2.0 * n_prime(x) + x * n_second(x)
+            with np.errstate(all="ignore"):
+                log = np.log(n_prime(x) * x + n(x))
+                v_global = m.c / (n(x) - (m.c / (xi * x)) * log)
+            return (m.c / (n_prime(x) * x + n(x)),
+                    m.c / ((m.c / xi) * (gpp / gp) - gp), v_global)
+
+        xs = np.linspace(-0.1, 1.0, 12)
+        for m in (ConstantIndex(1.5, c=c), LinearIndex(1.2, 0.07, c=c),
+                  TanhRampIndex(1.0, 0.5, center=0.3, width=0.8, c=c),
+                  TabulatedIndex(xs, 1.2 + 0.1 * np.sin(3.0 * xs), c=c)):
+            for xi in (-2.0, 0.5, 3.0, 1e3):
+                mode = ModeSpec(xi, m)
+                for x in (-0.05, 0.13, 0.5, 0.71, 1.3):
+                    got = (v0_local(m, x), vI_local(mode, x), vI_global(mode, x))
+                    assert_same_bits(got, reference(m, xi, x))
 
 
 class TestRederivation:

@@ -35,6 +35,7 @@ from locpv.taylor import (
     pow_series,
     sin_series,
     t2_atan,
+    t2_compose,
     t2_cos,
     t2_exp,
     t2_log,
@@ -552,7 +553,8 @@ def _extreme_operand(rng, m, batch):
 
 _COMPOSITIONS = [t2_exp, t2_sin, t2_cos, t2_atan, t2_log, t2_sqrt,
                  lambda u: t2_pow(u, -1.5), lambda u: t2_pow(u, 3), lambda u: 1.0 / u,
-                 lambda u: u / (u * u + 0.5), _MEDIA[2].taylor2, _MEDIA[3].taylor2]
+                 lambda u: u / (u * u + 0.5), lambda u: t2_compose(u, _MEDIA[2].series),
+                 lambda u: t2_compose(u, _MEDIA[3].series)]
 
 
 @pytest.mark.parametrize("m", range(6))
